@@ -1,4 +1,4 @@
-"""Build complete DFAs, minimize them two ways, and measure complexity.
+"""Build complete DFAs, minimize them canonically, and measure complexity.
 
 Run:  python demos/01_automata_basics.py
 """
@@ -7,9 +7,8 @@ from statecomplexity import (
     Dfa,
     Transformation,
     accepts,
-    brzozowski_minimize,
     build_regular,
-    is_isomorphic,
+    complete_over,
     language_alphabet,
     minimize,
     parse_dfa,
@@ -43,12 +42,13 @@ d4 = build_regular(4)
 print("regular witness n=4, letter a:", d4.transformation("a").images)
 print("its quotient complexity:      ", quotient_complexity(d4))
 
-# Two independent minimization routes must agree: partition refinement
-# and the double-reversal construction.
-m1 = minimize(d4)
-m2 = brzozowski_minimize(d4)
-print("partition refinement == double reversal:", m1 == m2)
-assert is_isomorphic(m1, m2)
+# Minimization is canonical: equal languages over equal alphabets give
+# identical DFAs, not merely isomorphic ones. Padding the witness with an
+# unreachable sink changes the machine but not its language.
+padded = complete_over(d4, d4.alphabet, force_sink=True)
+print("padded witness states:        ", padded.state_count)
+print("minimize(padded) == minimize(witness):", minimize(padded) == minimize(d4))
+assert minimize(padded) == minimize(d4)
 
 # Quotient complexity is measured over the language's own alphabet. A
 # letter that no accepted word uses does not count: a* over {a,b} (with b

@@ -17,24 +17,19 @@ from .atoms import (
     atoms,
 )
 from .automata import (
-    EPSILON,
     CapacityError,
     Dfa,
-    Nfa,
     Transformation,
     accepts,
-    brzozowski_minimize,
     complete_over,
     compose,
     determinize,
-    is_isomorphic,
     language_alphabet,
     make_alphabet,
     minimize,
     quotient_complexity,
     quotient_complexity_of_state,
     restrict_alphabet,
-    reverse_nfa,
     trim_alphabet,
     union_alphabets,
 )

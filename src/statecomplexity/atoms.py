@@ -10,11 +10,10 @@ language.
 
 from __future__ import annotations
 
-from collections import deque
 from math import comb
 from typing import Iterable
 
-from .automata import MAX_SUBSET_STATES, CapacityError, Dfa, Transformation, minimize
+from .automata import Dfa, bits, determinize, minimize, reversal_step, subset_step, walk
 from .witnesses import WitnessClass
 
 
@@ -22,47 +21,29 @@ class EmptyAtomError(ValueError):
     """Raised when a complexity is requested for a profile with no words."""
 
 
-def _pair_automaton(d: Dfa, s: frozenset[int]) -> Dfa:
+def _pair_automaton(d: Dfa, s: Iterable[int]) -> Dfa:
     """DFA over (X, Y) pairs tracking the images of S and of its complement.
 
-    A pair with overlapping halves can never separate again, so all such
-    pairs collapse into one dead state up front. Accepting pairs are those
-    with X inside the finals and Y disjoint from them.
+    X and Y are bitmasks. A pair with overlapping halves can never separate
+    again, so all such pairs collapse into one dead key up front.
+    Accepting pairs are those with X inside the finals and Y disjoint from
+    them.
     """
-    every = frozenset(range(d.state_count))
-    start = (s, every - s)
-    dead = "dead"
-    index: dict[object, int] = {start: 0}
-    order: list[object] = [start]
-    rows: list[list[int]] = [[] for _ in d.alphabet]
-    queue: deque[object] = deque([start])
-    while queue:
-        state = queue.popleft()
-        for k, t in enumerate(d.delta):
-            if state == dead:
-                nxt: object = dead
-            else:
-                x, y = state
-                nx = frozenset(t.images[q] for q in x)
-                ny = frozenset(t.images[q] for q in y)
-                nxt = dead if nx & ny else (nx, ny)
-            if nxt not in index:
-                index[nxt] = len(order)
-                order.append(nxt)
-                queue.append(nxt)
-            rows[k].append(index[nxt])
-    finals = frozenset(
-        i
-        for i, state in enumerate(order)
-        if state != dead and state[0] <= d.finals and not (state[1] & d.finals)
-    )
-    return Dfa(
-        state_count=len(order),
-        alphabet=d.alphabet,
-        delta=tuple(Transformation(tuple(row)) for row in rows),
-        initial=0,
-        finals=finals,
-    )
+    image = subset_step([[1 << q for q in t.images] for t in d.delta])
+    dead = None
+    finals = bits(d.finals)
+
+    def step(pair):
+        if pair is dead:
+            return [dead] * len(d.alphabet)
+        x, y = pair
+        return [dead if nx & ny else (nx, ny) for nx, ny in zip(image(x), image(y))]
+
+    def accepting(pair) -> bool:
+        return pair is not dead and not pair[0] & ~finals and not pair[1] & finals
+
+    x = bits(s)
+    return determinize(d.alphabet, (x, ((1 << d.state_count) - 1) & ~x), step, accepting)
 
 
 def atom_dfa(d: Dfa, s: Iterable[int]) -> Dfa:
@@ -73,12 +54,12 @@ def atom_dfa(d: Dfa, s: Iterable[int]) -> Dfa:
     read as languages over the same alphabet as the input. An atom with no
     words comes back as the one-state dead DFA.
     """
-    return minimize(_pair_automaton(d, frozenset(s)))
+    return minimize(_pair_automaton(d, s))
 
 
 def atom_exists(d: Dfa, s: Iterable[int]) -> bool:
     """True iff some word has exactly the profile S."""
-    pairs = _pair_automaton(d, frozenset(s))
+    pairs = _pair_automaton(d, s)
     return bool(pairs.finals)  # every state of the pair automaton is reachable
 
 
@@ -87,25 +68,14 @@ def atoms(d: Dfa) -> list[frozenset[int]]:
 
     The profile of a word w is {q : the quotient of q contains w}, and
     reading w backwards from the final states of a minimal DFA computes
-    exactly that set. The realized profiles are therefore the subsets
-    reachable by preimage steps from the final-state set, which keeps the
-    enumeration proportional to the number of atoms rather than to 2^n.
+    exactly that set. The realized profiles are therefore the keys of the
+    reversal's subset walk, which keeps the enumeration proportional to
+    the number of atoms rather than to 2^n.
     """
-    start = frozenset(d.finals)
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        current = queue.popleft()
-        for t in d.delta:
-            nxt = frozenset(p for p, q in enumerate(t.images) if q in current)
-            if nxt not in seen:
-                if len(seen) >= MAX_SUBSET_STATES:
-                    raise CapacityError(
-                        f"atom enumeration exceeded {MAX_SUBSET_STATES} profiles"
-                    )
-                seen.add(nxt)
-                queue.append(nxt)
-    return sorted(seen, key=lambda s: sum(1 << q for q in s))
+    profiles, _ = walk(len(d.alphabet), bits(d.finals), reversal_step(d))
+    return [
+        frozenset(q for q in range(d.state_count) if mask >> q & 1) for mask in sorted(profiles)
+    ]
 
 
 def atom_complexity(d: Dfa, s: Iterable[int]) -> int:

@@ -1,4 +1,4 @@
-"""Complete DFAs, NFAs, and the quotient-complexity measurement.
+"""Complete DFAs, the subset-walk engine, and the quotient-complexity measurement.
 
 Every DFA here is complete by construction: each letter acts on the state
 set as a total transformation. States are the integers 0..n-1, the initial
@@ -9,11 +9,8 @@ objects and never mutates its inputs.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, replace
-from typing import Iterable, Optional
-
-EPSILON = None  # transition label for the empty word in an Nfa
+from typing import Callable, Hashable, Iterable, Optional, Sequence
 
 # Hard cap on subset-construction growth; desk-scale sweeps stay far below.
 MAX_SUBSET_STATES = 1 << 20
@@ -121,7 +118,8 @@ class Dfa:
                 )
         if not 0 <= self.initial < self.state_count:
             raise ValueError(f"initial state {self.initial} out of range")
-        if not set(self.finals) <= set(range(self.state_count)):
+        # Element-wise, so a huge declared state count costs nothing here.
+        if not all(isinstance(q, int) and 0 <= q < self.state_count for q in self.finals):
             raise ValueError("final states out of range")
 
     def transformation(self, letter: str) -> Transformation:
@@ -142,243 +140,153 @@ class Dfa:
         return q
 
 
-@dataclass(frozen=True)
-class Nfa:
-    """Nondeterministic automaton; label EPSILON marks empty-word moves."""
-
-    state_count: int
-    alphabet: tuple[str, ...]
-    transitions: frozenset[tuple[int, Optional[str], int]]
-    initials: frozenset[int]
-    finals: frozenset[int]
-
-    def __post_init__(self) -> None:
-        make_alphabet(self.alphabet)
-        for p, label, q in self.transitions:
-            if not (0 <= p < self.state_count and 0 <= q < self.state_count):
-                raise ValueError(f"transition ({p}, {label!r}, {q}) references a missing state")
-            if label is not EPSILON and label not in self.alphabet:
-                raise ValueError(f"transition label {label!r} not in alphabet")
-        if not set(self.initials) <= set(range(self.state_count)):
-            raise ValueError("initial states out of range")
-        if not set(self.finals) <= set(range(self.state_count)):
-            raise ValueError("final states out of range")
-
-
 def accepts(d: Dfa, word: str) -> bool:
     """True iff the DFA ends in a final state; foreign letters are an error."""
     return d.run(d.initial, word) in d.finals
 
 
-def determinize(n: Nfa) -> Dfa:
-    """Accessible subset construction with epsilon closure.
+def walk(
+    letter_count: int, start: Hashable, step: Callable[[Hashable], Sequence[Hashable]]
+) -> tuple[list, list[list[int]]]:
+    """Accessible breadth-first walk over hashable keys.
 
-    States of the result are the reachable closed subsets in BFS order
-    (letters taken in alphabet order), so the numbering is canonical. The
-    empty subset, if reachable, is an ordinary sink state. A subset is
-    final iff it intersects the NFA's final states.
+    `step(key)` lists the successor of `key` on each letter, in alphabet
+    order. Keys are numbered in the order the walk first reaches them, so
+    the numbering is canonical. Returns the keys in that order and, per
+    letter, the row mapping each key's number to its successor's number.
     """
-    eps_adj: dict[int, list[int]] = {}
-    letter_adj: dict[tuple[int, str], list[int]] = {}
-    for p, label, q in n.transitions:
-        if label is EPSILON:
-            eps_adj.setdefault(p, []).append(q)
-        else:
-            letter_adj.setdefault((p, label), []).append(q)
-
-    def closure(states: Iterable[int]) -> frozenset[int]:
-        seen = set(states)
-        stack = list(seen)
-        while stack:
-            p = stack.pop()
-            for q in eps_adj.get(p, ()):
-                if q not in seen:
-                    seen.add(q)
-                    stack.append(q)
-        return frozenset(seen)
-
-    start = closure(n.initials)
-    index: dict[frozenset[int], int] = {start: 0}
-    order: list[frozenset[int]] = [start]
-    rows: list[list[int]] = [[] for _ in n.alphabet]
-    queue = deque([start])
-    while queue:
-        subset = queue.popleft()
-        for k, letter in enumerate(n.alphabet):
-            targets: set[int] = set()
-            for p in subset:
-                targets.update(letter_adj.get((p, letter), ()))
-            nxt = closure(targets)
-            if nxt not in index:
-                if len(index) >= MAX_SUBSET_STATES:
+    index = {start: 0}
+    keys = [start]
+    rows: list[list[int]] = [[] for _ in range(letter_count)]
+    for key in keys:  # keys grows while it is read: it is the BFS queue
+        for row, nxt in zip(rows, step(key)):
+            number = index.get(nxt)
+            if number is None:
+                if len(keys) >= MAX_SUBSET_STATES:
                     raise CapacityError(
                         f"subset construction exceeded {MAX_SUBSET_STATES} states"
                     )
-                index[nxt] = len(order)
-                order.append(nxt)
-                queue.append(nxt)
-            rows[k].append(index[nxt])
-    # Rows were filled in BFS order, one entry per popped subset.
-    finals = frozenset(i for i, subset in enumerate(order) if subset & n.finals)
+                number = index[nxt] = len(keys)
+                keys.append(nxt)
+            row.append(number)
+    return keys, rows
+
+
+def determinize(
+    alphabet: tuple[str, ...],
+    start: Hashable,
+    step: Callable[[Hashable], Sequence[Hashable]],
+    accepting: Callable[[Hashable], bool],
+) -> Dfa:
+    """The DFA of the keys reachable from `start`, numbered canonically.
+
+    Every construction here is such a walk: subsets of states as int
+    bitmasks (see `subset_step`), pairs of states, or minimize's classes.
+    A key is a final state iff `accepting(key)`.
+    """
+    keys, rows = walk(len(alphabet), start, step)
     return Dfa(
-        state_count=len(order),
-        alphabet=n.alphabet,
+        state_count=len(keys),
+        alphabet=alphabet,
         delta=tuple(Transformation(tuple(row)) for row in rows),
         initial=0,
-        finals=finals,
+        finals=frozenset(i for i, key in enumerate(keys) if accepting(key)),
     )
 
 
-def _reachable(d: Dfa) -> list[int]:
-    """Reachable states in BFS order from the initial state."""
-    seen = {d.initial}
-    order = [d.initial]
-    queue = deque(order)
-    while queue:
-        p = queue.popleft()
-        for t in d.delta:
-            q = t.images[p]
-            if q not in seen:
-                seen.add(q)
-                order.append(q)
-                queue.append(q)
-    return order
+def bits(states: Iterable[int]) -> int:
+    """The bitmask of a set of states."""
+    mask = 0
+    for q in states:
+        mask |= 1 << q
+    return mask
 
 
-def _canonical_renumber(d: Dfa) -> Dfa:
-    """Renumber states in BFS order from the initial state, dropping unreachable ones."""
-    order = _reachable(d)
-    number = {q: i for i, q in enumerate(order)}
-    rows = [tuple(number[t.images[q]] for q in order) for t in d.delta]
-    return Dfa(
-        state_count=len(order),
-        alphabet=d.alphabet,
-        delta=tuple(Transformation(row) for row in rows),
-        initial=0,
-        finals=frozenset(number[q] for q in d.finals if q in number),
-    )
+def subset_step(masks: Sequence[Sequence[int]]) -> Callable[[int], list[int]]:
+    """Step of a subset walk whose subsets are int bitmasks.
+
+    `masks[k][q]` is the bitmask of states that state q reaches on letter
+    k (empty-word moves already included); a subset goes to the union
+    over its members.
+    """
+
+    def step(subset: int) -> list[int]:
+        images = [0] * len(masks)
+        while subset:
+            low = subset & -subset
+            q = low.bit_length() - 1
+            for k, row in enumerate(masks):
+                images[k] |= row[q]
+            subset ^= low
+        return images
+
+    return step
+
+
+def reversal_step(d: Dfa) -> Callable[[int], list[int]]:
+    """Subset step of the reversed DFA: each subset goes to its preimage."""
+    masks = [[0] * d.state_count for _ in d.delta]
+    for row, t in zip(masks, d.delta):
+        for p, q in enumerate(t.images):
+            row[q] |= 1 << p
+    return subset_step(masks)
+
+
+def _reachable_part(d: Dfa) -> tuple[list[int], list[list[int]]]:
+    """Reachable states in BFS order, and the transitions among their numbers."""
+    return walk(len(d.alphabet), d.initial, lambda q: [t.images[q] for t in d.delta])
 
 
 def minimize(d: Dfa) -> Dfa:
     """Minimal DFA for the same language over the same alphabet.
 
-    Partition refinement in the Moore style: states start split by
-    finality and are repeatedly re-bucketed on the classes of their
-    successors until stable. The quotient automaton is then renumbered in
-    BFS order, so two equal languages over equal alphabets yield identical
-    (not merely isomorphic) results.
+    Partition refinement in the Moore style over the reachable states:
+    states start split by finality and are repeatedly re-bucketed on the
+    classes of their successors until stable. The quotient automaton is
+    then walked from the initial class, so two equal languages over equal
+    alphabets yield identical (not merely isomorphic) results.
     """
-    order = _reachable(d)
-    cls = {q: 1 if q in d.finals else 0 for q in order}
+    order, rows = _reachable_part(d)
+    final = [q in d.finals for q in order]
+    cls = [int(f) for f in final]
+    count = len(set(cls))
     while True:
-        buckets: dict[tuple, int] = {}
-        nxt = {}
-        for q in order:
-            sig = (cls[q],) + tuple(cls[t.images[q]] for t in d.delta)
-            if sig not in buckets:
-                buckets[sig] = len(buckets)
-            nxt[q] = buckets[sig]
-        if len(buckets) == len(set(cls[q] for q in order)):
+        buckets: dict[tuple[int, ...], int] = {}
+        signatures = zip(cls, *([cls[j] for j in row] for row in rows))
+        nxt = [buckets.setdefault(sig, len(buckets)) for sig in signatures]
+        if len(buckets) == count:
             break
-        cls = nxt
-    # Renumber classes contiguously in BFS-first-seen order.
-    remap: dict[int, int] = {}
-    for q in order:
-        remap.setdefault(cls[q], len(remap))
-    cls = {q: remap[cls[q]] for q in order}
-    class_count = len(remap)
+        cls, count = nxt, len(buckets)
     rep: dict[int, int] = {}
-    for q in order:
-        rep.setdefault(cls[q], q)
-    rows = []
-    for t in d.delta:
-        rows.append(tuple(cls[t.images[rep[c]]] for c in range(class_count)))
-    quotient = Dfa(
-        state_count=class_count,
-        alphabet=d.alphabet,
-        delta=tuple(Transformation(row) for row in rows),
-        initial=cls[d.initial],
-        finals=frozenset(cls[q] for q in order if q in d.finals),
+    for i, c in enumerate(cls):
+        rep.setdefault(c, i)
+    return determinize(
+        d.alphabet,
+        cls[0],
+        lambda c: [cls[row[rep[c]]] for row in rows],
+        lambda c: final[rep[c]],
     )
-    return _canonical_renumber(quotient)
-
-
-def reverse_nfa(d: Dfa) -> Nfa:
-    """NFA for the reversed language: flipped transitions, swapped roles."""
-    transitions = set()
-    for letter, t in zip(d.alphabet, d.delta):
-        for p, q in enumerate(t.images):
-            transitions.add((q, letter, p))
-    return Nfa(
-        state_count=d.state_count,
-        alphabet=d.alphabet,
-        transitions=frozenset(transitions),
-        initials=frozenset(d.finals),
-        finals=frozenset({d.initial}),
-    )
-
-
-def brzozowski_minimize(d: Dfa) -> Dfa:
-    """Minimization by double reversal; used as an oracle against minimize."""
-    return determinize(reverse_nfa(determinize(reverse_nfa(d))))
-
-
-def is_isomorphic(d1: Dfa, d2: Dfa) -> bool:
-    """Structural equality up to renaming of states.
-
-    Alphabets must be equal as ordered sequences. The bijection is built
-    by parallel BFS from the initial states; unreachable states (absent
-    when both inputs are minimal) are compared only by count.
-    """
-    if d1.alphabet != d2.alphabet or d1.state_count != d2.state_count:
-        return False
-    if (d1.initial in d1.finals) != (d2.initial in d2.finals):
-        return False
-    pairing = {d1.initial: d2.initial}
-    queue = deque([(d1.initial, d2.initial)])
-    while queue:
-        p, q = queue.popleft()
-        for t1, t2 in zip(d1.delta, d2.delta):
-            p2, q2 = t1.images[p], t2.images[q]
-            if p2 in pairing:
-                if pairing[p2] != q2:
-                    return False
-                continue
-            if q2 in pairing.values():
-                return False
-            if (p2 in d1.finals) != (q2 in d2.finals):
-                return False
-            pairing[p2] = q2
-            queue.append((p2, q2))
-    return True
-
-
-def _useful_states(d: Dfa) -> set[int]:
-    """States from which some final state is reachable."""
-    back: dict[int, set[int]] = {q: set() for q in range(d.state_count)}
-    for t in d.delta:
-        for p, q in enumerate(t.images):
-            back[q].add(p)
-    useful = set(d.finals)
-    queue = deque(useful)
-    while queue:
-        q = queue.popleft()
-        for p in back[q]:
-            if p not in useful:
-                useful.add(p)
-                queue.append(p)
-    return useful
 
 
 def language_alphabet(d: Dfa) -> tuple[str, ...]:
-    """Letters that occur in at least one accepted word, in alphabet order."""
-    reachable = set(_reachable(d))
-    useful = _useful_states(d)
-    kept = []
-    for letter, t in zip(d.alphabet, d.delta):
-        if any(t.images[p] in useful for p in reachable):
-            kept.append(letter)
-    return tuple(kept)
+    """Letters that occur in at least one accepted word, in alphabet order.
+
+    Only reachable states are visited, so the cost does not grow with
+    unreachable ones.
+    """
+    order, rows = _reachable_part(d)
+    back: list[list[int]] = [[] for _ in order]
+    for row in rows:
+        for i, j in enumerate(row):
+            back[j].append(i)
+    useful = {i for i, q in enumerate(order) if q in d.finals}
+    stack = list(useful)
+    while stack:
+        for i in back[stack.pop()]:
+            if i not in useful:
+                useful.add(i)
+                stack.append(i)
+    return tuple(a for a, row in zip(d.alphabet, rows) if any(j in useful for j in row))
 
 
 def restrict_alphabet(d: Dfa, letters: Iterable[str]) -> Dfa:

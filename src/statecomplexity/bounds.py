@@ -11,10 +11,12 @@ exactly as documented even where measurement disagrees.
 from __future__ import annotations
 
 import concurrent.futures
+import functools
 import sys
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional
+from types import MappingProxyType
+from typing import Callable, Mapping, Optional
 
 from .algebra import syntactic_semigroup_size
 from .atoms import atom_dfa, atom_formula, atoms
@@ -259,13 +261,15 @@ def registry() -> list[BoundEntry]:
     return entries
 
 
-def registry_by_id() -> dict[str, BoundEntry]:
+@functools.cache
+def registry_by_id() -> Mapping[str, BoundEntry]:
+    """The registry keyed by id; built once per process and read-only."""
     table = {}
     for entry in registry():
         if entry.entry_id in table:
             raise ValueError(f"duplicate registry id {entry.entry_id}")
         table[entry.entry_id] = entry
-    return table
+    return MappingProxyType(table)
 
 
 def _explicit_profiles(cls: WitnessClass, n: int) -> list[frozenset[int]]:

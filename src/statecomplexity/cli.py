@@ -3,15 +3,16 @@
 Subcommands:
 
     witness gen <regular|right|left|twosided> <n> [--dialect SPEC] [-o FILE]
-    op <product|union|symdiff|diff|inter|star|reverse|complement>
-       LHS.dfa [RHS.dfa] [--universe LETTERS] [--emit FILE]
+    op <product|union|symdiff|diff|revdiff|inter|nor|nand|xnor|impl|convimpl
+        |star|reverse|complement> LHS.dfa [RHS.dfa] [--universe LETTERS] [--emit FILE]
     measure <kappa|semigroup|atoms|atom-complexities|quotients> FILE.dfa
     verify [--ids ID,ID,...] [--m A..B] [--n A..B]
            [--format csv|markdown] [--jobs K]
     registry list
 
 Exit codes: 0 on success (and when every verified row matches), 1 when a
-verification row mismatches, 2 on usage or file-parse errors.
+verification row mismatches, 2 on usage or file-parse errors, 3 when a
+construction exceeds its state or element budget (CapacityError).
 """
 
 from __future__ import annotations
@@ -22,7 +23,13 @@ from typing import Optional
 
 from .algebra import syntactic_semigroup_size
 from .atoms import atom_dfa, atoms
-from .automata import Dfa, quotient_complexity, quotient_complexity_of_state, trim_alphabet
+from .automata import (
+    CapacityError,
+    Dfa,
+    quotient_complexity,
+    quotient_complexity_of_state,
+    trim_alphabet,
+)
 from .dfafile import DfaParseError, parse_dfa, render_dfa
 from .operations import boolean, complement, product, reverse, star
 from .bounds import BOOLEAN_BY_NAME, all_match, emit_report, registry, run_sweep
@@ -30,8 +37,8 @@ from .witnesses import WitnessClass, apply_dialect, parse_dialect
 
 _CLASS_BY_NAME = {cls.value: cls for cls in WitnessClass}
 
-_OP_NAMES = ("product", "union", "symdiff", "diff", "inter", "star", "reverse", "complement")
-_BINARY_OPS = {"product", "union", "symdiff", "diff", "inter"}
+_BINARY_OPS = ("product", *BOOLEAN_BY_NAME)
+_OP_NAMES = (*_BINARY_OPS, "star", "reverse", "complement")
 
 
 def _load_dfa(path: str) -> Dfa:
@@ -201,6 +208,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (ValueError, KeyError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except CapacityError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

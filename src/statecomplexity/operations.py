@@ -1,31 +1,30 @@
 """Language operations over possibly different alphabets.
 
 Binary operations take their operands as they are declared: each DFA
-carries only its own letters. Product goes through an epsilon-NFA in
-which missing letters simply have no transitions, while boolean
-operations complete both operands over the union alphabet with a sink
-before forming the direct product, so complement always means complement
-with respect to the union universe. Every result is minimized, trimmed to
-the alphabet of the result language, and reported with its quotient
-complexity.
+carries only its own letters. Product, star and reversal are subset
+walks in which a letter missing from an operand simply empties that
+operand's part of the subset, while boolean operations complete both
+operands over the union alphabet with a sink before walking the direct
+product, so complement always means complement with respect to the union
+universe. Every result is minimized, trimmed to the alphabet of the
+result language, and reported with its quotient complexity.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
 from .automata import (
     Dfa,
-    Nfa,
     Transformation,
+    bits,
     complete_over,
     determinize,
-    is_isomorphic,
     make_alphabet,
     minimize,
-    reverse_nfa,
+    reversal_step,
+    subset_step,
     trim_alphabet,
     union_alphabets,
 )
@@ -75,62 +74,44 @@ def _finish(d: Dfa, combined: tuple[str, ...]) -> OpResult:
 def product(lhs: Dfa, rhs: Dfa) -> OpResult:
     """Concatenation of the two languages over the union of their alphabets.
 
-    Epsilon-NFA construction: an epsilon edge from each final state of the
-    left operand to the right operand's initial state, with the left
-    finals made non-final. Each operand contributes transitions only for
-    its own letters.
+    Subset walk over the left states (bits 0..m-1) and the right states
+    (bits m..m+n-1): entering a final state of the left operand also
+    enters the right operand's initial state. Each operand moves only on
+    its own letters; on any other letter its part of the subset empties.
     """
     lhs = minimize(lhs)
     rhs = minimize(rhs)
     combined = union_alphabets(lhs.alphabet, rhs.alphabet)
     offset = lhs.state_count
-    transitions: set[tuple[int, str | None, int]] = set()
-    for letter, t in zip(lhs.alphabet, lhs.delta):
-        for p, q in enumerate(t.images):
-            transitions.add((p, letter, q))
-    for letter, t in zip(rhs.alphabet, rhs.delta):
-        for p, q in enumerate(t.images):
-            transitions.add((offset + p, letter, offset + q))
-    for f in lhs.finals:
-        transitions.add((f, None, offset + rhs.initial))
-    nfa = Nfa(
-        state_count=lhs.state_count + rhs.state_count,
-        alphabet=combined,
-        transitions=frozenset(transitions),
-        initials=frozenset({lhs.initial}),
-        finals=frozenset(offset + f for f in rhs.finals),
+    enter_rhs = 1 << (offset + rhs.initial)
+
+    def left(q: int) -> int:
+        return 1 << q | (enter_rhs if q in lhs.finals else 0)
+
+    masks = []
+    for letter in combined:
+        row = [0] * (offset + rhs.state_count)
+        if letter in lhs.alphabet:
+            row[:offset] = map(left, lhs.transformation(letter).images)
+        if letter in rhs.alphabet:
+            row[offset:] = (1 << (offset + q) for q in rhs.transformation(letter).images)
+        masks.append(row)
+    right_finals = bits(offset + f for f in rhs.finals)
+    subsets = determinize(
+        combined, left(lhs.initial), subset_step(masks), lambda s: s & right_finals
     )
-    return _finish(determinize(nfa), combined)
+    return _finish(subsets, combined)
 
 
 def _direct_product(lhs: Dfa, rhs: Dfa, op: BooleanOp) -> Dfa:
     """Reachable direct product of two DFAs over one shared alphabet."""
     assert lhs.alphabet == rhs.alphabet
-    start = (lhs.initial, rhs.initial)
-    index = {start: 0}
-    order = [start]
-    rows: list[list[int]] = [[] for _ in lhs.alphabet]
-    queue = deque([start])
-    while queue:
-        p, q = queue.popleft()
-        for k, (t1, t2) in enumerate(zip(lhs.delta, rhs.delta)):
-            nxt = (t1.images[p], t2.images[q])
-            if nxt not in index:
-                index[nxt] = len(order)
-                order.append(nxt)
-                queue.append(nxt)
-            rows[k].append(index[nxt])
-    finals = frozenset(
-        i
-        for i, (p, q) in enumerate(order)
-        if op.holds(p in lhs.finals, q in rhs.finals)
-    )
-    return Dfa(
-        state_count=len(order),
-        alphabet=lhs.alphabet,
-        delta=tuple(Transformation(tuple(row)) for row in rows),
-        initial=0,
-        finals=finals,
+    pairs = list(zip(lhs.delta, rhs.delta))
+    return determinize(
+        lhs.alphabet,
+        (lhs.initial, rhs.initial),
+        lambda pq: [(t1.images[pq[0]], t2.images[pq[1]]) for t1, t2 in pairs],
+        lambda pq: op.holds(pq[0] in lhs.finals, pq[1] in rhs.finals),
     )
 
 
@@ -157,35 +138,35 @@ def complement(d: Dfa, universe: tuple[str, ...] | str) -> OpResult:
 
 
 def star(d: Dfa) -> OpResult:
-    """Kleene star via the usual epsilon-NFA construction.
+    """Kleene star as a subset walk with a fresh initial-final state.
 
-    A fresh initial-final state feeds the old initial state by epsilon and
-    each old final state loops back the same way. If the language already
-    contains the empty word the fresh state simply merges away during
-    minimization.
+    The fresh state (bit n) starts the walk together with the old initial
+    state and has no moves of its own; entering an old final state also
+    re-enters the old initial state. If the language already contains the
+    empty word the fresh state simply merges away during minimization.
     """
     d = minimize(d)
     fresh = d.state_count
-    transitions: set[tuple[int, str | None, int]] = set()
-    for letter, t in zip(d.alphabet, d.delta):
-        for p, q in enumerate(t.images):
-            transitions.add((p, letter, q))
-    transitions.add((fresh, None, d.initial))
-    for f in d.finals:
-        transitions.add((f, None, d.initial))
-    nfa = Nfa(
-        state_count=d.state_count + 1,
-        alphabet=d.alphabet,
-        transitions=frozenset(transitions),
-        initials=frozenset({fresh}),
-        finals=frozenset(d.finals) | {fresh},
+    restart = 1 << d.initial
+    masks = [
+        [1 << q | (restart if q in d.finals else 0) for q in t.images] + [0] for t in d.delta
+    ]
+    accepting = bits(d.finals) | 1 << fresh
+    subsets = determinize(
+        d.alphabet, 1 << fresh | restart, subset_step(masks), lambda s: s & accepting
     )
-    return _finish(determinize(nfa), d.alphabet)
+    return _finish(subsets, d.alphabet)
 
 
 def reverse(d: Dfa) -> OpResult:
-    """Reversal: flip every transition, swap initial and final roles."""
-    return _finish(determinize(reverse_nfa(d)), d.alphabet)
+    """Reversal: the preimage subset walk from the final states.
+
+    A subset is final iff it holds the initial state.
+    """
+    subsets = determinize(
+        d.alphabet, bits(d.finals), reversal_step(d), lambda s: s >> d.initial & 1
+    )
+    return _finish(subsets, d.alphabet)
 
 
 def universal_dfa(alphabet: tuple[str, ...] | str) -> Dfa:
@@ -227,7 +208,7 @@ def _is_ideal(d: Dfa, prepend: bool, append: bool) -> bool:
         grown = product(universe, grown).dfa
     if append:
         grown = product(grown, universe).dfa
-    return is_isomorphic(grown, trimmed)
+    return grown == trimmed  # minimize is canonical
 
 
 def is_right_ideal(d: Dfa) -> bool:

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import random
+from collections import deque
 
 import pytest
 
-from statecomplexity import Dfa, Nfa, Transformation, make_alphabet
+from statecomplexity import Dfa, Transformation, make_alphabet
 
 
 def fig_ends_in_b() -> Dfa:
@@ -66,11 +67,19 @@ def word_in(d: Dfa, word: str) -> bool:
     return q in d.finals
 
 
-def nfa_accepts(n: Nfa, word: str) -> bool:
-    """Direct NFA simulation; an oracle independent of determinize."""
+def nfa_accepts(
+    transitions: frozenset[tuple[int, str | None, int]],
+    initials: frozenset[int],
+    finals: frozenset[int],
+    word: str,
+) -> bool:
+    """Direct simulation of an NFA whose label None marks empty-word moves.
+
+    An oracle independent of determinize.
+    """
     eps: dict[int, set[int]] = {}
     step: dict[tuple[int, str], set[int]] = {}
-    for p, label, q in n.transitions:
+    for p, label, q in transitions:
         if label is None:
             eps.setdefault(p, set()).add(q)
         else:
@@ -87,13 +96,77 @@ def nfa_accepts(n: Nfa, word: str) -> bool:
                     stack.append(q)
         return out
 
-    current = closure(set(n.initials))
+    current = closure(set(initials))
     for letter in word:
         nxt: set[int] = set()
         for p in current:
             nxt |= step.get((p, letter), set())
         current = closure(nxt)
-    return bool(current & n.finals)
+    return bool(current & finals)
+
+
+def _reverse_determinize(d: Dfa) -> Dfa:
+    """Subset construction of the reversed DFA over frozenset subsets.
+
+    Subsets are numbered in BFS order with letters in alphabet order, so
+    the numbering is canonical; it shares no code with the library's walk.
+    """
+    start = frozenset(d.finals)
+    index = {start: 0}
+    order = [start]
+    rows: list[list[int]] = [[] for _ in d.alphabet]
+    queue = deque([start])
+    while queue:
+        subset = queue.popleft()
+        for row, t in zip(rows, d.delta):
+            nxt = frozenset(p for p, q in enumerate(t.images) if q in subset)
+            if nxt not in index:
+                index[nxt] = len(order)
+                order.append(nxt)
+                queue.append(nxt)
+            row.append(index[nxt])
+    return Dfa(
+        state_count=len(order),
+        alphabet=d.alphabet,
+        delta=tuple(Transformation(tuple(row)) for row in rows),
+        initial=0,
+        finals=frozenset(i for i, subset in enumerate(order) if d.initial in subset),
+    )
+
+
+def brzozowski_minimize(d: Dfa) -> Dfa:
+    """Minimization by double reversal; an oracle against minimize."""
+    return _reverse_determinize(_reverse_determinize(d))
+
+
+def is_isomorphic(d1: Dfa, d2: Dfa) -> bool:
+    """Structural equality up to renaming of states.
+
+    Alphabets must be equal as ordered sequences. The bijection is built
+    by parallel BFS from the initial states; unreachable states (absent
+    when both inputs are minimal) are compared only by count.
+    """
+    if d1.alphabet != d2.alphabet or d1.state_count != d2.state_count:
+        return False
+    if (d1.initial in d1.finals) != (d2.initial in d2.finals):
+        return False
+    pairing = {d1.initial: d2.initial}
+    queue = deque([(d1.initial, d2.initial)])
+    while queue:
+        p, q = queue.popleft()
+        for t1, t2 in zip(d1.delta, d2.delta):
+            p2, q2 = t1.images[p], t2.images[q]
+            if p2 in pairing:
+                if pairing[p2] != q2:
+                    return False
+                continue
+            if q2 in pairing.values():
+                return False
+            if (p2 in d1.finals) != (q2 in d2.finals):
+                return False
+            pairing[p2] = q2
+            queue.append((p2, q2))
+    return True
 
 
 @pytest.fixture

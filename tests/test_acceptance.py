@@ -20,14 +20,12 @@ from statecomplexity import (
     atom_dfa,
     atoms,
     boolean,
-    brzozowski_minimize,
     build_left_ideal,
     build_regular,
     build_right_ideal,
     build_two_sided_ideal,
     complement,
     equivalent,
-    is_isomorphic,
     minimize,
     parse_dfa,
     parse_dialect,
@@ -42,7 +40,13 @@ from statecomplexity import (
     apply_dialect,
 )
 
-from conftest import fig_ends_in_b, fig_ends_in_c, random_dfa
+from conftest import (
+    brzozowski_minimize,
+    fig_ends_in_b,
+    fig_ends_in_c,
+    is_isomorphic,
+    random_dfa,
+)
 
 BUILDERS = {
     WitnessClass.REGULAR: build_regular,

@@ -13,7 +13,6 @@ from statecomplexity import (
     atom_exists,
     atom_formula,
     atoms,
-    brzozowski_minimize,
     build_left_ideal,
     build_regular,
     build_right_ideal,
@@ -24,7 +23,7 @@ from statecomplexity import (
     trim_alphabet,
 )
 
-from conftest import random_dfa, random_word, word_in
+from conftest import brzozowski_minimize, random_dfa, random_word, word_in
 from test_acceptance import BUILDERS, atom_form
 
 

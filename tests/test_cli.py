@@ -2,7 +2,8 @@ from __future__ import annotations
 
 import pytest
 
-from statecomplexity import build_regular, parse_dfa, render_dfa
+from statecomplexity import boolean, build_regular, parse_dfa, render_dfa
+from statecomplexity.bounds import BOOLEAN_BY_NAME
 from statecomplexity.cli import main
 
 from conftest import fig_ends_in_b, fig_ends_in_c
@@ -45,6 +46,20 @@ def test_op_union_on_the_worked_example(tmp_path, capsys):
     assert code == 0
     assert stdout.strip() == "kappa=6"
     assert parse_dfa(emitted.read_text()).state_count == 6
+
+
+@pytest.mark.parametrize("name", sorted(BOOLEAN_BY_NAME))
+def test_op_offers_every_boolean_operation(tmp_path, capsys, name):
+    lhs = tmp_path / "lhs.dfa"
+    rhs = tmp_path / "rhs.dfa"
+    lhs.write_text(render_dfa(fig_ends_in_b()))
+    rhs.write_text(render_dfa(fig_ends_in_c()))
+    emitted = tmp_path / "out.dfa"
+    code, stdout, _ = run_cli(capsys, "op", name, str(lhs), str(rhs), "--emit", str(emitted))
+    expected = boolean(BOOLEAN_BY_NAME[name], fig_ends_in_b(), fig_ends_in_c())
+    assert code == 0
+    assert stdout.strip() == f"kappa={expected.kappa}"
+    assert parse_dfa(emitted.read_text()) == expected.dfa
 
 
 def test_op_star_and_reverse(tmp_path, capsys):
@@ -95,6 +110,45 @@ def test_bad_file_is_exit_2(tmp_path, capsys):
     path.write_text("states 2\nalphabet a\ninitial 0\nfinal 1\nrow a 0\n")
     code, _, stderr = run_cli(capsys, "measure", "kappa", str(path))
     assert code == 2 and "line" in stderr
+
+
+def test_capacity_error_is_exit_3(tmp_path, capsys, monkeypatch):
+    from statecomplexity import algebra
+
+    path = tmp_path / "w9.dfa"
+    run_cli(capsys, "witness", "gen", "regular", "9", "-o", str(path))
+    monkeypatch.setattr(algebra, "MAX_SEMIGROUP_ELEMENTS", 1000)
+    code, stdout, stderr = run_cli(capsys, "measure", "semigroup", str(path))
+    assert code == 3
+    assert stdout == ""
+    assert stderr.startswith("error: ") and "1000" in stderr
+    assert len(stderr.splitlines()) == 1
+
+
+def test_huge_state_count_needs_no_memory_per_state(tmp_path):
+    # A file may declare any number of states; with an empty alphabet only
+    # the initial state is reachable, so the measurement must not allocate
+    # per declared state. Capping the address space at 1 GiB turns such an
+    # allocation into a failure instead of exhausting the machine.
+    import resource
+    import subprocess
+    import sys
+
+    path = tmp_path / "huge.dfa"
+    path.write_text("states 100000000000\nalphabet\ninitial 0\nfinal 0\n")
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "statecomplexity", "measure", "kappa", str(path)],
+        capture_output=True,
+        text=True,
+        preexec_fn=cap_memory,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "kappa=1"
 
 
 def test_missing_file_is_exit_2(capsys):

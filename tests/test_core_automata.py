@@ -6,23 +6,28 @@ import pytest
 
 from statecomplexity import (
     Dfa,
-    Nfa,
     Transformation,
     accepts,
-    brzozowski_minimize,
     build_regular,
     complete_over,
     determinize,
-    is_isomorphic,
     language_alphabet,
     minimize,
     quotient_complexity,
     quotient_complexity_of_state,
     trim_alphabet,
 )
-from statecomplexity.automata import _reachable
+from statecomplexity.automata import bits, reversal_step, subset_step
 
-from conftest import fig_ends_in_b, nfa_accepts, random_dfa, random_word, word_in
+from conftest import (
+    brzozowski_minimize,
+    fig_ends_in_b,
+    is_isomorphic,
+    nfa_accepts,
+    random_dfa,
+    random_word,
+    word_in,
+)
 
 
 def astar_with_dead_letter() -> Dfa:
@@ -43,9 +48,29 @@ def empty_language_dfa() -> Dfa:
 # --- determinize -----------------------------------------------------------
 
 
+def epsilon_closure(transitions, states: int) -> int:
+    """Bitmask of the states reachable from `states` by empty-word moves."""
+    closed = states
+    while True:
+        grown = closed | bits(q for p, lbl, q in transitions if lbl is None and closed >> p & 1)
+        if grown == closed:
+            return closed
+        closed = grown
+
+
+def nfa_step(n: int, alphabet, transitions):
+    """Subset step of an epsilon-NFA, the empty-word moves folded into its masks."""
+
+    def moves(p: int, a: str) -> int:
+        return bits(q for p2, label, q in transitions if (p2, label) == (p, a))
+
+    return subset_step(
+        [[epsilon_closure(transitions, moves(p, a)) for p in range(n)] for a in alphabet]
+    )
+
+
 def test_determinize_trivial_epsilon_language():
-    nfa = Nfa(1, ("a",), frozenset(), frozenset({0}), frozenset({0}))
-    d = determinize(nfa)
+    d = determinize(("a",), 1, nfa_step(1, ("a",), frozenset()), lambda s: s & 1)
     assert d.alphabet == ("a",)
     assert accepts(d, "")
     assert not accepts(d, "a")
@@ -60,26 +85,48 @@ def test_determinize_agrees_with_direct_simulation(rng):
             (rng.randrange(n), rng.choice(labels), rng.randrange(n))
             for _ in range(rng.randint(0, 12))
         )
-        nfa = Nfa(
-            n,
+        initials = frozenset(rng.sample(range(n), rng.randint(1, n)))
+        finals = frozenset(rng.sample(range(n), rng.randint(0, n)))
+        d = determinize(
             alphabet,
-            transitions,
-            frozenset(rng.sample(range(n), rng.randint(1, n))),
-            frozenset(rng.sample(range(n), rng.randint(0, n))),
+            epsilon_closure(transitions, bits(initials)),
+            nfa_step(n, alphabet, transitions),
+            lambda s: s & bits(finals),
         )
-        d = determinize(nfa)
         for _ in range(40):
             w = random_word(rng, alphabet, 8)
-            assert accepts(d, w) == nfa_accepts(nfa, w)
+            assert accepts(d, w) == nfa_accepts(transitions, initials, finals, w)
 
 
 def test_determinize_has_no_unreachable_states(rng):
     for _ in range(50):
         d = random_dfa(rng, max_states=6)
-        from statecomplexity.automata import reverse_nfa
+        subset = determinize(d.alphabet, bits(d.finals), reversal_step(d), lambda s: s & 1)
+        reached = {subset.initial}
+        frontier = [subset.initial]
+        while frontier:
+            p = frontier.pop()
+            for t in subset.delta:
+                if t.images[p] not in reached:
+                    reached.add(t.images[p])
+                    frontier.append(t.images[p])
+        assert len(reached) == subset.state_count
 
-        subset = determinize(reverse_nfa(d))
-        assert len(_reachable(subset)) == subset.state_count
+
+def test_determinize_raises_capacity_error(monkeypatch):
+    from statecomplexity import CapacityError, automata
+
+    monkeypatch.setattr(automata, "MAX_SUBSET_STATES", 7)
+    d = build_regular(3)
+    with pytest.raises(CapacityError):
+        determinize(d.alphabet, bits(d.finals), reversal_step(d), lambda s: s & 1)
+    assert determinize(d.alphabet, 1, lambda s: [s, s, s, s], bool).state_count == 1
+
+
+@pytest.mark.parametrize("finals", [{2}, {-1}, {0.5}, {"0"}])
+def test_dfa_rejects_final_states_out_of_range(finals):
+    with pytest.raises(ValueError):
+        Dfa(2, ("a",), (Transformation((0, 1)),), 0, frozenset(finals))
 
 
 # --- minimize and the double-reversal oracle --------------------------------

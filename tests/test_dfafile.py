@@ -29,6 +29,26 @@ def dfas(draw):
     finals = frozenset(draw(st.sets(st.integers(0, n - 1))))
     return Dfa(n, alphabet, delta, draw(st.integers(0, n - 1)), finals)
 
+KEYWORD_LINES = st.builds(
+    lambda keyword, args: " ".join([keyword, *args]),
+    st.sampled_from(["states", "alphabet", "initial", "final", "row"]),
+    st.lists(
+        st.one_of(
+            st.integers(-2, 100000000000).map(str), st.sampled_from("ab"), st.text(max_size=3)
+        ),
+        max_size=4,
+    ),
+)
+
+
+@given(st.one_of(st.text(), st.lists(st.one_of(KEYWORD_LINES, st.text())).map("\n".join)))
+def test_parse_raises_only_parse_errors(text):
+    try:
+        parse_dfa(text)
+    except DfaParseError:
+        pass
+
+
 ENDS_IN_B_FILE = """states 2
 alphabet a b
 initial 0

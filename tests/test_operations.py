@@ -336,7 +336,8 @@ def test_ideal_predicates_on_edge_cases():
 
 def test_reverse_subset_automaton_size():
     from statecomplexity import determinize
-    from statecomplexity.automata import reverse_nfa
+    from statecomplexity.automata import bits, reversal_step
 
-    # Determinizing the reversed 3-state witness reaches all 8 subsets.
-    assert determinize(reverse_nfa(reg(3, "a,b,c"))).state_count == 8
+    # The preimage walk of the 3-state witness reaches all 8 subsets.
+    d = reg(3, "a,b,c")
+    assert determinize(d.alphabet, bits(d.finals), reversal_step(d), bool).state_count == 8

@@ -22,6 +22,13 @@ def test_registry_ids_are_unique_and_recipes_build():
             entry.rhs.build(n)
 
 
+def test_registry_by_id_is_built_once_and_read_only():
+    table = registry_by_id()
+    assert registry_by_id() is table
+    with pytest.raises(TypeError):
+        table["REG-PROD-U"] = None
+
+
 def test_expected_values_quoted_in_the_tables():
     table = registry_by_id()
     assert table["REG-PROD-U"].expected(3, 3) == 28

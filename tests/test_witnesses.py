@@ -12,7 +12,6 @@ from statecomplexity import (
     build_regular,
     build_right_ideal,
     build_two_sided_ideal,
-    is_isomorphic,
     is_left_ideal,
     is_right_ideal,
     is_two_sided_ideal,
@@ -20,7 +19,7 @@ from statecomplexity import (
     parse_dialect,
 )
 
-from conftest import random_word
+from conftest import is_isomorphic, random_word
 
 
 def rows(d):

@@ -5,7 +5,6 @@ Run:  python demos/01_automata_basics.py
 
 from statecomplexity import (
     Dfa,
-    Transformation,
     accepts,
     build_regular,
     complete_over,
@@ -22,7 +21,7 @@ from statecomplexity import (
 ends_in_b = Dfa(
     state_count=2,
     alphabet=("a", "b"),
-    delta=(Transformation((0, 0)), Transformation((1, 1))),
+    delta=((0, 0), (1, 1)),
     initial=0,
     finals=frozenset({1}),
 )
@@ -39,7 +38,7 @@ assert parse_dfa(text) == ends_in_b
 # a full cycle, a transposition, a single collapsing letter, and an
 # identity letter:
 d4 = build_regular(4)
-print("regular witness n=4, letter a:", d4.transformation("a").images)
+print("regular witness n=4, letter a:", d4.transformation("a"))
 print("its quotient complexity:      ", quotient_complexity(d4))
 
 # Minimization is canonical: equal languages over equal alphabets give
@@ -56,7 +55,7 @@ assert minimize(padded) == minimize(d4)
 astar = Dfa(
     state_count=2,
     alphabet=("a", "b"),
-    delta=(Transformation((0, 1)), Transformation((1, 1))),
+    delta=((0, 1), (1, 1)),
     initial=0,
     finals=frozenset({0}),
 )

@@ -11,7 +11,6 @@ Run:  python demos/02_operations_across_alphabets.py
 from statecomplexity import (
     BooleanOp,
     Dfa,
-    Transformation,
     apply_dialect,
     boolean,
     build_regular,
@@ -24,8 +23,8 @@ from statecomplexity import (
     star,
 )
 
-ends_in_b = Dfa(2, ("a", "b"), (Transformation((0, 0)), Transformation((1, 1))), 0, frozenset({1}))
-ends_in_c = Dfa(2, ("a", "c"), (Transformation((0, 0)), Transformation((1, 1))), 0, frozenset({1}))
+ends_in_b = Dfa(2, ("a", "b"), ((0, 0), (1, 1)), 0, frozenset({1}))
+ends_in_c = Dfa(2, ("a", "c"), ((0, 0), (1, 1)), 0, frozenset({1}))
 
 # Boolean operations complete both operands over the union alphabet by
 # adding a sink, then build the direct product. Completion itself:

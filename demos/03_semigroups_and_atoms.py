@@ -25,7 +25,7 @@ closure = transition_semigroup(d)
 print("semigroup size of the 3-state witness:", len(closure), "= 3^3")
 some = sorted(closure.generator_words.items(), key=lambda kv: (len(kv[1]), kv[1]))[:5]
 for t, w in some:
-    print(f"  shortest word {w!r} induces {t.images}")
+    print(f"  shortest word {w!r} induces {t}")
 
 print("\nsyntactic semigroup sizes by class:")
 print("  regular n=4:   ", syntactic_semigroup_size(apply_dialect(build_regular(4), parse_dialect("a,b,c"))), "= 4^4")

@@ -19,10 +19,8 @@ from .atoms import (
 from .automata import (
     CapacityError,
     Dfa,
-    Transformation,
     accepts,
     complete_over,
-    compose,
     determinize,
     language_alphabet,
     make_alphabet,

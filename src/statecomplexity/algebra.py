@@ -6,7 +6,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-from .automata import CapacityError, Dfa, Transformation, compose, trim_alphabet
+from .automata import CapacityError, Dfa, trim_alphabet
 
 MAX_SEMIGROUP_ELEMENTS = 10**7
 
@@ -18,14 +18,16 @@ WORDS_STATE_LIMIT = 6
 class SemigroupClosure:
     """All transformations induced by non-empty words, with sample words.
 
+    Each element is a tuple of ints whose entry q is the image of state q.
+
     `generator_words` maps each element to one shortest word (ties broken
     in alphabet order) inducing it, or is None when word tracking was
     skipped. The empty word is excluded: this is the semigroup generated
     by the letters, not the monoid.
     """
 
-    elements: frozenset[Transformation]
-    generator_words: Optional[dict[Transformation, str]]
+    elements: frozenset[tuple[int, ...]]
+    generator_words: Optional[dict[tuple[int, ...], str]]
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -35,13 +37,16 @@ def transition_semigroup(d: Dfa, with_words: Optional[bool] = None) -> Semigroup
     """Closure of the letter transformations under composition.
 
     Breadth-first over words in length-then-alphabet order, so the first
-    word reaching an element is a shortest one.
+    word reaching an element is a shortest one. Elements compose in
+    diagrammatic order: t followed by the letter row g sends q to g[t[q]].
+    `Dfa` checked the rows, and composing total maps of {0..n-1} gives
+    another, so no element is checked again.
     """
     if with_words is None:
         with_words = d.state_count < WORDS_STATE_LIMIT
-    words: dict[Transformation, str] = {}
-    seen: set[Transformation] = set()
-    queue: deque[Transformation] = deque()
+    words: dict[tuple[int, ...], str] = {}
+    seen: set[tuple[int, ...]] = set()
+    queue: deque[tuple[int, ...]] = deque()
     generators = list(zip(d.alphabet, d.delta))
     for letter, t in generators:
         if t not in seen:
@@ -52,7 +57,7 @@ def transition_semigroup(d: Dfa, with_words: Optional[bool] = None) -> Semigroup
     while queue:
         t = queue.popleft()
         for letter, g in generators:
-            composed = compose(t, g)
+            composed = tuple(map(g.__getitem__, t))
             if composed in seen:
                 continue
             if len(seen) >= MAX_SEMIGROUP_ELEMENTS:

@@ -29,7 +29,7 @@ def _pair_automaton(d: Dfa, s: Iterable[int]) -> Dfa:
     Accepting pairs are those with X inside the finals and Y disjoint from
     them.
     """
-    image = subset_step([[1 << q for q in t.images] for t in d.delta])
+    image = subset_step([[1 << q for q in row] for row in d.delta])
     dead = None
     finals = bits(d.finals)
 

@@ -1,16 +1,17 @@
 """Complete DFAs, the subset-walk engine, and the quotient-complexity measurement.
 
 Every DFA here is complete by construction: each letter acts on the state
-set as a total transformation. States are the integers 0..n-1, the initial
-state is a single index, and alphabets are ordered tuples of single
-lowercase letters. All values are immutable; every function returns fresh
-objects and never mutates its inputs.
+set as a total transformation, stored as a tuple of ints whose entry q is
+the image of state q. States are the integers 0..n-1, the initial state
+is a single index, and alphabets are ordered tuples of single lowercase
+letters. All values are immutable; every function returns fresh objects
+and never mutates its inputs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Hashable, Iterable, Optional, Sequence
+from typing import Callable, Hashable, Iterable, Sequence
 
 # Hard cap on subset-construction growth; desk-scale sweeps stay far below.
 MAX_SUBSET_STATES = 1 << 20
@@ -37,102 +38,51 @@ def union_alphabets(first: Iterable[str], second: Iterable[str]) -> tuple[str, .
 
 
 @dataclass(frozen=True)
-class Transformation:
-    """A total self-map of {0,...,n-1}; entry i is the image of state i."""
-
-    images: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        n = len(self.images)
-        for q, img in enumerate(self.images):
-            if not 0 <= img < n:
-                raise ValueError(f"image of state {q} is {img}, outside 0..{n - 1}")
-
-    @property
-    def size(self) -> int:
-        return len(self.images)
-
-    def apply(self, q: int) -> int:
-        return self.images[q]
-
-    @staticmethod
-    def identity(n: int) -> "Transformation":
-        return Transformation(tuple(range(n)))
-
-    @staticmethod
-    def cycle(n: int, points: Iterable[int]) -> "Transformation":
-        """Cyclic permutation of the listed states; all others are fixed."""
-        pts = list(points)
-        images = list(range(n))
-        for i, p in enumerate(pts):
-            images[p] = pts[(i + 1) % len(pts)]
-        return Transformation(tuple(images))
-
-    @staticmethod
-    def point_map(n: int, source: int, target: int) -> "Transformation":
-        """Send one state to another; all other states are fixed."""
-        images = list(range(n))
-        images[source] = target
-        return Transformation(tuple(images))
-
-    @staticmethod
-    def constant(n: int, target: int, domain: Optional[Iterable[int]] = None) -> "Transformation":
-        """Send every state of `domain` (default: all states) to `target`."""
-        images = list(range(n))
-        for q in range(n) if domain is None else domain:
-            images[q] = target
-        return Transformation(tuple(images))
-
-
-def compose(s: Transformation, t: Transformation) -> Transformation:
-    """Composition in diagrammatic order: q goes to t(s(q))."""
-    if s.size != t.size:
-        raise ValueError(f"cannot compose transformations of sizes {s.size} and {t.size}")
-    return Transformation(tuple(t.images[img] for img in s.images))
-
-
-@dataclass(frozen=True)
 class Dfa:
     """Complete deterministic automaton over an ordered alphabet.
 
-    `delta` holds one Transformation per alphabet letter, in alphabet
-    order, so completeness is structural rather than checked per word.
+    `delta` holds one row per alphabet letter, in alphabet order; a row
+    is a tuple of ints whose entry q is the image of state q, so
+    completeness is structural rather than checked per word. This
+    constructor is the one place rows are checked: everything built from
+    checked rows stays in range without further checks.
     """
 
     state_count: int
     alphabet: tuple[str, ...]
-    delta: tuple[Transformation, ...]
+    delta: tuple[tuple[int, ...], ...]
     initial: int
     finals: frozenset[int]
 
     def __post_init__(self) -> None:
-        if self.state_count <= 0:
+        n = self.state_count
+        if n <= 0:
             raise ValueError("a complete DFA needs at least one state")
         make_alphabet(self.alphabet)
         if len(self.delta) != len(self.alphabet):
-            raise ValueError("need exactly one transformation per alphabet letter")
-        for letter, t in zip(self.alphabet, self.delta):
-            if t.size != self.state_count:
-                raise ValueError(
-                    f"transformation for {letter!r} has size {t.size}, expected {self.state_count}"
-                )
-        if not 0 <= self.initial < self.state_count:
-            raise ValueError(f"initial state {self.initial} out of range")
-        # Element-wise, so a huge declared state count costs nothing here.
-        if not all(isinstance(q, int) and 0 <= q < self.state_count for q in self.finals):
+            raise ValueError("need exactly one row per alphabet letter")
+        # Only the rows and finals are walked, never range(n), so a huge
+        # declared state count over the empty alphabet costs nothing here.
+        for letter, row in zip(self.alphabet, self.delta):
+            if not isinstance(row, tuple) or len(row) != n:
+                raise ValueError(f"row for {letter!r} is not a tuple of {n} states")
+            for q in row:
+                if type(q) is not int or not 0 <= q < n:
+                    raise ValueError(f"row for {letter!r} has image {q!r}, not a state 0..{n - 1}")
+        if type(self.initial) is not int or not 0 <= self.initial < n:
+            raise ValueError(f"initial state {self.initial!r} out of range")
+        if not all(type(q) is int and 0 <= q < n for q in self.finals):
             raise ValueError("final states out of range")
 
-    def transformation(self, letter: str) -> Transformation:
+    def transformation(self, letter: str) -> tuple[int, ...]:
+        """The row of `letter`: entry q is the image of state q."""
         try:
             return self.delta[self.alphabet.index(letter)]
         except ValueError:
             raise ValueError(f"letter {letter!r} not in alphabet {self.alphabet!r}") from None
 
-    def step(self, q: int, letter: str) -> int:
-        return self.transformation(letter).images[q]
-
     def run(self, q: int, word: str) -> int:
-        table = {a: t.images for a, t in zip(self.alphabet, self.delta)}
+        table = dict(zip(self.alphabet, self.delta))
         for letter in word:
             if letter not in table:
                 raise ValueError(f"word letter {letter!r} not in alphabet {self.alphabet!r}")
@@ -188,7 +138,7 @@ def determinize(
     return Dfa(
         state_count=len(keys),
         alphabet=alphabet,
-        delta=tuple(Transformation(tuple(row)) for row in rows),
+        delta=tuple(map(tuple, rows)),
         initial=0,
         finals=frozenset(i for i, key in enumerate(keys) if accepting(key)),
     )
@@ -226,15 +176,15 @@ def subset_step(masks: Sequence[Sequence[int]]) -> Callable[[int], list[int]]:
 def reversal_step(d: Dfa) -> Callable[[int], list[int]]:
     """Subset step of the reversed DFA: each subset goes to its preimage."""
     masks = [[0] * d.state_count for _ in d.delta]
-    for row, t in zip(masks, d.delta):
-        for p, q in enumerate(t.images):
-            row[q] |= 1 << p
+    for preimages, row in zip(masks, d.delta):
+        for p, q in enumerate(row):
+            preimages[q] |= 1 << p
     return subset_step(masks)
 
 
 def _reachable_part(d: Dfa) -> tuple[list[int], list[list[int]]]:
     """Reachable states in BFS order, and the transitions among their numbers."""
-    return walk(len(d.alphabet), d.initial, lambda q: [t.images[q] for t in d.delta])
+    return walk(len(d.alphabet), d.initial, lambda q: [row[q] for row in d.delta])
 
 
 def minimize(d: Dfa) -> Dfa:
@@ -291,7 +241,8 @@ def language_alphabet(d: Dfa) -> tuple[str, ...]:
 
 def restrict_alphabet(d: Dfa, letters: Iterable[str]) -> Dfa:
     """Drop the transition rows of every letter not in `letters`."""
-    keep = tuple(a for a in d.alphabet if a in set(letters))
+    wanted = set(letters)
+    keep = tuple(a for a in d.alphabet if a in wanted)
     rows = tuple(d.delta[d.alphabet.index(a)] for a in keep)
     return replace(d, alphabet=keep, delta=rows)
 
@@ -341,9 +292,9 @@ def complete_over(d: Dfa, alphabet: Iterable[str], force_sink: bool = False) -> 
     rows = []
     for a in target:
         if a in d.alphabet:
-            rows.append(Transformation(d.transformation(a).images + (sink,)))
+            rows.append(d.transformation(a) + (sink,))
         else:
-            rows.append(Transformation.constant(n + 1, sink))
+            rows.append((sink,) * (n + 1))
     return Dfa(
         state_count=n + 1,
         alphabet=target,

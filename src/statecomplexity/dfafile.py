@@ -18,7 +18,7 @@ so parse(render(d)) reproduces d bit for bit.
 
 from __future__ import annotations
 
-from .automata import Dfa, Transformation, make_alphabet
+from .automata import Dfa, make_alphabet
 
 
 class DfaParseError(ValueError):
@@ -34,8 +34,8 @@ def render_dfa(d: Dfa) -> str:
     lines.append(("alphabet " + " ".join(d.alphabet)).rstrip())
     lines.append(f"initial {d.initial}")
     lines.append(("final " + " ".join(str(q) for q in sorted(d.finals))).rstrip())
-    for letter, t in zip(d.alphabet, d.delta):
-        lines.append(f"row {letter} " + " ".join(str(q) for q in t.images))
+    for letter, row in zip(d.alphabet, d.delta):
+        lines.append(f"row {letter} " + " ".join(map(str, row)))
     return "\n".join(lines) + "\n"
 
 
@@ -112,7 +112,7 @@ def parse_dfa(text: str) -> Dfa:
             )
         if any(not 0 <= q < state_count for q in images):
             raise DfaParseError(row_lines[letter], f"row {letter!r} has an image out of range")
-        delta.append(Transformation(images))
+        delta.append(images)
     try:
         return Dfa(
             state_count=state_count,

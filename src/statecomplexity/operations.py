@@ -12,12 +12,11 @@ result language, and reported with its quotient complexity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 from .automata import (
     Dfa,
-    Transformation,
     bits,
     complete_over,
     determinize,
@@ -92,9 +91,9 @@ def product(lhs: Dfa, rhs: Dfa) -> OpResult:
     for letter in combined:
         row = [0] * (offset + rhs.state_count)
         if letter in lhs.alphabet:
-            row[:offset] = map(left, lhs.transformation(letter).images)
+            row[:offset] = map(left, lhs.transformation(letter))
         if letter in rhs.alphabet:
-            row[offset:] = (1 << (offset + q) for q in rhs.transformation(letter).images)
+            row[offset:] = (1 << (offset + q) for q in rhs.transformation(letter))
         masks.append(row)
     right_finals = bits(offset + f for f in rhs.finals)
     subsets = determinize(
@@ -110,7 +109,7 @@ def _direct_product(lhs: Dfa, rhs: Dfa, op: BooleanOp) -> Dfa:
     return determinize(
         lhs.alphabet,
         (lhs.initial, rhs.initial),
-        lambda pq: [(t1.images[pq[0]], t2.images[pq[1]]) for t1, t2 in pairs],
+        lambda pq: [(row1[pq[0]], row2[pq[1]]) for row1, row2 in pairs],
         lambda pq: op.holds(pq[0] in lhs.finals, pq[1] in rhs.finals),
     )
 
@@ -127,13 +126,7 @@ def complement(d: Dfa, universe: tuple[str, ...] | str) -> OpResult:
     """Complement with respect to the given universe alphabet."""
     universe = make_alphabet(universe)
     completed = complete_over(minimize(d), universe)
-    flipped = Dfa(
-        state_count=completed.state_count,
-        alphabet=completed.alphabet,
-        delta=completed.delta,
-        initial=completed.initial,
-        finals=frozenset(range(completed.state_count)) - completed.finals,
-    )
+    flipped = replace(completed, finals=frozenset(range(completed.state_count)) - completed.finals)
     return _finish(flipped, universe)
 
 
@@ -149,7 +142,7 @@ def star(d: Dfa) -> OpResult:
     fresh = d.state_count
     restart = 1 << d.initial
     masks = [
-        [1 << q | (restart if q in d.finals else 0) for q in t.images] + [0] for t in d.delta
+        [1 << q | (restart if q in d.finals else 0) for q in row] + [0] for row in d.delta
     ]
     accepting = bits(d.finals) | 1 << fresh
     subsets = determinize(
@@ -175,7 +168,7 @@ def universal_dfa(alphabet: tuple[str, ...] | str) -> Dfa:
     return Dfa(
         state_count=1,
         alphabet=alphabet,
-        delta=tuple(Transformation.identity(1) for _ in alphabet),
+        delta=((0,),) * len(alphabet),
         initial=0,
         finals=frozenset({0}),
     )

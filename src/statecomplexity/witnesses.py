@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Optional
+from typing import Iterable, Optional
 
-from .automata import Dfa, Transformation, make_alphabet
+from .automata import Dfa, make_alphabet
 
 UNDEFINED = None  # dialect target for a dropped letter
 
@@ -46,6 +46,32 @@ class WitnessClass(Enum):
         return _BUILDERS[self](n)
 
 
+def _identity(n: int) -> tuple[int, ...]:
+    return tuple(range(n))
+
+
+def _cycle(n: int, points: Iterable[int]) -> tuple[int, ...]:
+    """Cyclic permutation of the listed states; all others are fixed."""
+    pts = list(points)
+    images = list(range(n))
+    for i, p in enumerate(pts):
+        images[p] = pts[(i + 1) % len(pts)]
+    return tuple(images)
+
+
+def _constant(n: int, target: int, domain: Optional[Iterable[int]] = None) -> tuple[int, ...]:
+    """Send every state of `domain` (default: all states) to `target`."""
+    images = list(range(n))
+    for q in range(n) if domain is None else domain:
+        images[q] = target
+    return tuple(images)
+
+
+def _point_map(n: int, source: int, target: int) -> tuple[int, ...]:
+    """Send one state to another; all other states are fixed."""
+    return _constant(n, target, domain=(source,))
+
+
 def build_regular(n: int) -> Dfa:
     """n-state regular witness over {a,b,c,d}.
 
@@ -58,10 +84,10 @@ def build_regular(n: int) -> Dfa:
         state_count=n,
         alphabet=("a", "b", "c", "d"),
         delta=(
-            Transformation.cycle(n, range(n)),
-            Transformation.cycle(n, (0, 1)),
-            Transformation.point_map(n, n - 1, 0),
-            Transformation.identity(n),
+            _cycle(n, range(n)),
+            _cycle(n, (0, 1)),
+            _point_map(n, n - 1, 0),
+            _identity(n),
         ),
         initial=0,
         finals=frozenset({n - 1}),
@@ -76,11 +102,11 @@ def build_right_ideal(n: int) -> Dfa:
         state_count=n,
         alphabet=("a", "b", "c", "d", "e"),
         delta=(
-            Transformation.cycle(n, range(n - 1)),
-            Transformation.cycle(n, range(1, n - 1)),
-            Transformation.point_map(n, n - 2, 0),
-            Transformation.point_map(n, n - 2, n - 1),
-            Transformation.identity(n),
+            _cycle(n, range(n - 1)),
+            _cycle(n, range(1, n - 1)),
+            _point_map(n, n - 2, 0),
+            _point_map(n, n - 2, n - 1),
+            _identity(n),
         ),
         initial=0,
         finals=frozenset({n - 1}),
@@ -95,11 +121,11 @@ def build_left_ideal(n: int) -> Dfa:
         state_count=n,
         alphabet=("a", "b", "c", "d", "e"),
         delta=(
-            Transformation.cycle(n, range(1, n)),
-            Transformation.cycle(n, (1, 2)),
-            Transformation.point_map(n, n - 1, 1),
-            Transformation.point_map(n, n - 1, 0),
-            Transformation.constant(n, 1),
+            _cycle(n, range(1, n)),
+            _cycle(n, (1, 2)),
+            _point_map(n, n - 1, 1),
+            _point_map(n, n - 1, 0),
+            _constant(n, 1),
         ),
         initial=0,
         finals=frozenset({n - 1}),
@@ -114,12 +140,12 @@ def build_two_sided_ideal(n: int) -> Dfa:
         state_count=n,
         alphabet=("a", "b", "c", "d", "e", "f"),
         delta=(
-            Transformation.cycle(n, range(1, n - 1)),
-            Transformation.cycle(n, (1, 2)),
-            Transformation.point_map(n, n - 2, 1),
-            Transformation.point_map(n, n - 2, 0),
-            Transformation.constant(n, 1, domain=range(n - 1)),
-            Transformation.point_map(n, 1, n - 1),
+            _cycle(n, range(1, n - 1)),
+            _cycle(n, (1, 2)),
+            _point_map(n, n - 2, 1),
+            _point_map(n, n - 2, 0),
+            _constant(n, 1, domain=range(n - 1)),
+            _point_map(n, 1, n - 1),
         ),
         initial=0,
         finals=frozenset({n - 1}),

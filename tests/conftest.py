@@ -7,7 +7,7 @@ from collections import deque
 
 import pytest
 
-from statecomplexity import Dfa, Transformation, make_alphabet
+from statecomplexity import Dfa, make_alphabet
 
 
 def fig_ends_in_b() -> Dfa:
@@ -15,7 +15,7 @@ def fig_ends_in_b() -> Dfa:
     return Dfa(
         state_count=2,
         alphabet=("a", "b"),
-        delta=(Transformation((0, 0)), Transformation((1, 1))),
+        delta=((0, 0), (1, 1)),
         initial=0,
         finals=frozenset({1}),
     )
@@ -26,7 +26,7 @@ def fig_ends_in_c() -> Dfa:
     return Dfa(
         state_count=2,
         alphabet=("a", "c"),
-        delta=(Transformation((0, 0)), Transformation((1, 1))),
+        delta=((0, 0), (1, 1)),
         initial=0,
         finals=frozenset({1}),
     )
@@ -38,7 +38,7 @@ def random_dfa(rng: random.Random, max_states: int = 8, letters: str = "abcd") -
     k = rng.randint(1, len(letters))
     alphabet = make_alphabet(sorted(rng.sample(letters, k)))
     delta = tuple(
-        Transformation(tuple(rng.randrange(n) for _ in range(n))) for _ in alphabet
+        tuple(rng.randrange(n) for _ in range(n)) for _ in alphabet
     )
     final_count = rng.randint(0, n)
     finals = frozenset(rng.sample(range(n), final_count))
@@ -58,7 +58,7 @@ def word_in(d: Dfa, word: str) -> bool:
     language, so this is membership in L(d) as a set of words over any
     larger universe.
     """
-    table = {a: t.images for a, t in zip(d.alphabet, d.delta)}
+    table = dict(zip(d.alphabet, d.delta))
     q = d.initial
     for letter in word:
         if letter not in table:
@@ -118,8 +118,8 @@ def _reverse_determinize(d: Dfa) -> Dfa:
     queue = deque([start])
     while queue:
         subset = queue.popleft()
-        for row, t in zip(rows, d.delta):
-            nxt = frozenset(p for p, q in enumerate(t.images) if q in subset)
+        for row, images in zip(rows, d.delta):
+            nxt = frozenset(p for p, q in enumerate(images) if q in subset)
             if nxt not in index:
                 index[nxt] = len(order)
                 order.append(nxt)
@@ -128,7 +128,7 @@ def _reverse_determinize(d: Dfa) -> Dfa:
     return Dfa(
         state_count=len(order),
         alphabet=d.alphabet,
-        delta=tuple(Transformation(tuple(row)) for row in rows),
+        delta=tuple(map(tuple, rows)),
         initial=0,
         finals=frozenset(i for i, subset in enumerate(order) if d.initial in subset),
     )
@@ -154,8 +154,8 @@ def is_isomorphic(d1: Dfa, d2: Dfa) -> bool:
     queue = deque([(d1.initial, d2.initial)])
     while queue:
         p, q = queue.popleft()
-        for t1, t2 in zip(d1.delta, d2.delta):
-            p2, q2 = t1.images[p], t2.images[q]
+        for row1, row2 in zip(d1.delta, d2.delta):
+            p2, q2 = row1[p], row2[q]
             if p2 in pairing:
                 if pairing[p2] != q2:
                     return False

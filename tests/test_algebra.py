@@ -5,13 +5,11 @@ import pytest
 from statecomplexity import (
     CapacityError,
     Dfa,
-    Transformation,
     apply_dialect,
     build_left_ideal,
     build_regular,
     build_right_ideal,
     build_two_sided_ideal,
-    compose,
     parse_dialect,
     syntactic_semigroup_size,
     transition_semigroup,
@@ -28,10 +26,15 @@ def test_full_transformation_semigroup_sizes():
 
 
 def test_identity_generator_gives_singleton():
-    d = Dfa(4, ("a",), (Transformation.identity(4),), 0, frozenset({0}))
+    d = Dfa(4, ("a",), ((0, 1, 2, 3),), 0, frozenset({0}))
     closure = transition_semigroup(d)
     assert len(closure) == 1
-    assert closure.generator_words == {Transformation.identity(4): "a"}
+    assert closure.generator_words == {(0, 1, 2, 3): "a"}
+
+
+def pointwise(d: Dfa, word: str) -> tuple[int, ...]:
+    # Independent oracle: run the word from every state, letter by letter.
+    return tuple(d.run(q, word) for q in range(d.state_count))
 
 
 def test_generator_words_are_shortest(rng):
@@ -41,32 +44,45 @@ def test_generator_words_are_shortest(rng):
         d = random_dfa(rng, max_states=4, letters="ab")
         closure = transition_semigroup(d, with_words=True)
         # Recompute by plain breadth-first enumeration of words.
-        table = {a: t for a, t in zip(d.alphabet, d.delta)}
         frontier = [""]
         first_seen = {}
         while len(first_seen) < len(closure.elements):
-            nxt = []
-            for w in frontier:
-                for a in d.alphabet:
-                    word = w + a
-                    t = table[a]
-                    for letter in w[::-1]:
-                        t = compose(table[letter], t)
-                    if t not in first_seen:
-                        first_seen[t] = word
-                    nxt.append(word)
-            frontier = nxt
+            frontier = [w + a for w in frontier for a in d.alphabet]
+            for word in frontier:
+                first_seen.setdefault(pointwise(d, word), word)
+        assert set(first_seen) == closure.elements
         assert {t: len(w) for t, w in closure.generator_words.items()} == {
             t: len(w) for t, w in first_seen.items()
         }
+        assert all(pointwise(d, w) == t for t, w in closure.generator_words.items())
+
+
+def test_closure_composes_in_diagrammatic_order():
+    # a cycles 0 -> 1 -> 2 -> 0, b sends 2 to 0; "ab" applies a first.
+    d = Dfa(3, ("a", "b"), ((1, 2, 0), (0, 1, 0)), 0, frozenset({0}))
+    words = transition_semigroup(d, with_words=True).generator_words
+    assert words[(1, 0, 0)] == "ab"
+    assert words[(1, 2, 1)] == "ba"
+
+
+def test_identity_letter_is_neutral():
+    # Words mixing the identity a into powers of b add no new elements.
+    d = Dfa(4, ("a", "b"), ((0, 1, 2, 3), (2, 2, 0, 1)), 0, frozenset({0}))
+    closure = transition_semigroup(d, with_words=True)
+    assert closure.generator_words == {
+        (0, 1, 2, 3): "a",
+        (2, 2, 0, 1): "b",
+        (0, 0, 2, 2): "bb",
+        (2, 2, 0, 0): "bbb",
+    }
 
 
 def test_elements_are_nonempty_word_transformations():
     # The identity is present only when some non-empty word induces it.
-    d = Dfa(2, ("a",), (Transformation((1, 0)),), 0, frozenset({0}))
+    d = Dfa(2, ("a",), ((1, 0),), 0, frozenset({0}))
     closure = transition_semigroup(d)
-    assert len(closure) == 2  # the swap and its square
-    one_letter = Dfa(2, ("a",), (Transformation((1, 1)),), 0, frozenset({0}))
+    assert closure.generator_words == {(1, 0): "a", (0, 1): "aa"}  # the swap is an involution
+    one_letter = Dfa(2, ("a",), ((1, 1),), 0, frozenset({0}))
     assert len(transition_semigroup(one_letter)) == 1  # no identity anywhere
 
 
@@ -90,10 +106,10 @@ def test_syntactic_size_uses_the_minimal_trimmed_dfa():
         4,
         ("a", "b", "c", "z"),
         (
-            Transformation((1, 2, 0, 3)),
-            Transformation((1, 0, 2, 3)),
-            Transformation((0, 1, 0, 3)),
-            Transformation.constant(4, 3),
+            (1, 2, 0, 3),
+            (1, 0, 2, 3),
+            (0, 1, 0, 3),
+            (3, 3, 3, 3),
         ),
         0,
         frozenset({2}),

@@ -5,7 +5,6 @@ import pytest
 from statecomplexity import (
     Dfa,
     EmptyAtomError,
-    Transformation,
     WitnessClass,
     apply_dialect,
     atom_complexity,
@@ -54,7 +53,7 @@ def monoid_atom_automaton(d: Dfa, s: frozenset[int]) -> Dfa:
         t = order[head]
         head += 1
         for k, g in enumerate(d.delta):
-            nxt = tuple(g.images[p] for p in t)
+            nxt = tuple(g[p] for p in t)
             if nxt not in index:
                 index[nxt] = len(order)
                 order.append(nxt)
@@ -67,7 +66,7 @@ def monoid_atom_automaton(d: Dfa, s: frozenset[int]) -> Dfa:
     return Dfa(
         state_count=len(order),
         alphabet=d.alphabet,
-        delta=tuple(Transformation(tuple(row)) for row in rows),
+        delta=tuple(map(tuple, rows)),
         initial=0,
         finals=finals,
     )

@@ -6,7 +6,6 @@ import pytest
 
 from statecomplexity import (
     Dfa,
-    Transformation,
     accepts,
     build_regular,
     complete_over,
@@ -15,6 +14,7 @@ from statecomplexity import (
     minimize,
     quotient_complexity,
     quotient_complexity_of_state,
+    restrict_alphabet,
     trim_alphabet,
 )
 from statecomplexity.automata import bits, reversal_step, subset_step
@@ -35,14 +35,14 @@ def astar_with_dead_letter() -> Dfa:
     return Dfa(
         state_count=2,
         alphabet=("a", "b"),
-        delta=(Transformation((0, 1)), Transformation((1, 1))),
+        delta=((0, 1), (1, 1)),
         initial=0,
         finals=frozenset({0}),
     )
 
 
 def empty_language_dfa() -> Dfa:
-    return Dfa(1, ("a", "b"), (Transformation((0,)), Transformation((0,))), 0, frozenset())
+    return Dfa(1, ("a", "b"), ((0,), (0,)), 0, frozenset())
 
 
 # --- determinize -----------------------------------------------------------
@@ -106,10 +106,10 @@ def test_determinize_has_no_unreachable_states(rng):
         frontier = [subset.initial]
         while frontier:
             p = frontier.pop()
-            for t in subset.delta:
-                if t.images[p] not in reached:
-                    reached.add(t.images[p])
-                    frontier.append(t.images[p])
+            for row in subset.delta:
+                if row[p] not in reached:
+                    reached.add(row[p])
+                    frontier.append(row[p])
         assert len(reached) == subset.state_count
 
 
@@ -126,7 +126,23 @@ def test_determinize_raises_capacity_error(monkeypatch):
 @pytest.mark.parametrize("finals", [{2}, {-1}, {0.5}, {"0"}])
 def test_dfa_rejects_final_states_out_of_range(finals):
     with pytest.raises(ValueError):
-        Dfa(2, ("a",), (Transformation((0, 1)),), 0, frozenset(finals))
+        Dfa(2, ("a",), ((0, 1),), 0, frozenset(finals))
+
+
+@pytest.mark.parametrize(
+    "delta,initial",
+    [(((0, 1),), 0.5), (((0.0, 1),), 0), (([0, 1],), 0), (((0, 1, 0),), 0)],
+    ids=["float-initial", "float-image", "list-row", "long-row"],
+)
+def test_dfa_rejects_non_integer_or_misshapen_rows(delta, initial):
+    with pytest.raises(ValueError):
+        Dfa(2, ("a",), delta, initial, frozenset())
+
+
+def test_dfa_rejects_out_of_range_image():
+    for row in ((0, 3, 1), (0, -1, 1)):
+        with pytest.raises(ValueError):
+            Dfa(3, ("a",), (row,), 0, frozenset())
 
 
 # --- minimize and the double-reversal oracle --------------------------------
@@ -144,7 +160,7 @@ def test_duplicate_final_sinks_merge():
     d = Dfa(
         state_count=3,
         alphabet=("a",),
-        delta=(Transformation((1, 1, 2)),),
+        delta=((1, 1, 2),),
         initial=0,
         finals=frozenset({1, 2}),
     )
@@ -237,6 +253,13 @@ def test_trim_astar_to_one_state():
     assert t.finals == frozenset({0})
 
 
+def test_restrict_alphabet_takes_a_one_shot_iterable():
+    d = build_regular(3)
+    restricted = restrict_alphabet(d, (a for a in "ab"))
+    assert restricted.alphabet == ("a", "b")
+    assert restricted.delta == d.delta[:2]
+
+
 def test_trim_is_plain_minimize_when_alphabet_is_tight():
     d = build_regular(5)
     assert trim_alphabet(d) == minimize(d)
@@ -252,7 +275,7 @@ def test_kappa_single_nonfinal_state():
 
 
 def test_epsilon_language_corner():
-    d = Dfa(2, ("a",), (Transformation((1, 1)),), 0, frozenset({0}))
+    d = Dfa(2, ("a",), ((1, 1),), 0, frozenset({0}))
     t = trim_alphabet(d)
     assert t.state_count == 1 and t.alphabet == () and t.finals == frozenset({0})
 
@@ -290,9 +313,9 @@ def test_completing_fig1_matches_fig2():
     assert completed.state_count == 3
     assert completed.alphabet == ("a", "b", "c")
     # The sink is fixed by everything and every c-transition enters it.
-    assert completed.transformation("c").images == (2, 2, 2)
-    assert completed.transformation("a").images == (0, 0, 2)
-    assert completed.transformation("b").images == (1, 1, 2)
+    assert completed.transformation("c") == (2, 2, 2)
+    assert completed.transformation("a") == (0, 0, 2)
+    assert completed.transformation("b") == (1, 1, 2)
     assert completed.finals == frozenset({1})
 
 
@@ -308,7 +331,7 @@ def test_forced_sink_on_complete_input():
 
 
 def test_sink_added_for_all_final_one_state():
-    d = Dfa(1, ("a",), (Transformation((0,)),), 0, frozenset({0}))
+    d = Dfa(1, ("a",), ((0,),), 0, frozenset({0}))
     completed = complete_over(d, ("a", "b"))
     assert completed.state_count == 2
     assert not accepts(completed, "b")

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from statecomplexity import (
     Dfa,
     DfaParseError,
-    Transformation,
     build_regular,
     parse_dfa,
     quotient_complexity,
@@ -23,7 +22,7 @@ def dfas(draw):
     k = draw(st.integers(min_value=0, max_value=4))
     alphabet = tuple("abcd"[:k])
     delta = tuple(
-        Transformation(tuple(draw(st.integers(0, n - 1)) for _ in range(n)))
+        tuple(draw(st.integers(0, n - 1)) for _ in range(n))
         for _ in alphabet
     )
     finals = frozenset(draw(st.sets(st.integers(0, n - 1))))

@@ -7,7 +7,6 @@ import pytest
 from statecomplexity import (
     BooleanOp,
     Dfa,
-    Transformation,
     apply_dialect,
     boolean,
     build_left_ideal,
@@ -34,7 +33,7 @@ def reg(n, dialect):
 
 
 def astar():
-    return Dfa(1, ("a",), (Transformation((0,)),), 0, frozenset({0}))
+    return Dfa(1, ("a",), ((0,),), 0, frozenset({0}))
 
 
 def single_a():
@@ -42,7 +41,7 @@ def single_a():
     return Dfa(
         3,
         ("a",),
-        (Transformation((1, 2, 2)),),
+        ((1, 2, 2),),
         0,
         frozenset({1}),
     )
@@ -177,7 +176,7 @@ def test_complement_of_not_astar():
     d = Dfa(
         2,
         ("a", "b"),
-        (Transformation((0, 1)), Transformation((1, 1))),
+        ((0, 1), (1, 1)),
         0,
         frozenset({1}),
     )
@@ -194,7 +193,7 @@ def test_double_complement_restores_language(rng):
 
 
 def test_complement_of_empty_language():
-    empty = Dfa(1, ("a",), (Transformation((0,)),), 0, frozenset())
+    empty = Dfa(1, ("a",), ((0,),), 0, frozenset())
     r = complement(empty, ("a",))
     assert r.kappa == 1 and r.dfa.finals
 
@@ -314,7 +313,7 @@ def test_boolean_over_disjoint_singletons():
 def test_ideal_predicates_on_edge_cases():
     from statecomplexity import is_left_ideal, is_right_ideal, is_two_sided_ideal
 
-    empty = Dfa(1, ("a",), (Transformation((0,)),), 0, frozenset())
+    empty = Dfa(1, ("a",), ((0,),), 0, frozenset())
     assert not is_right_ideal(empty)
     assert not is_left_ideal(empty)
     assert not is_two_sided_ideal(empty)
@@ -324,7 +323,7 @@ def test_ideal_predicates_on_edge_cases():
     astarb = Dfa(
         3,
         ("a", "b"),
-        (Transformation((0, 2, 2)), Transformation((1, 2, 2))),
+        ((0, 2, 2), (1, 2, 2)),
         0,
         frozenset({1}),
     )

@@ -1,69 +1,54 @@
+"""Composition of transformations, as the semigroup closure performs it.
+
+A transformation of {0..n-1} is a DFA row: entry q is the image of q.
+The closure composes in diagrammatic order (apply s, then t); these tests
+compare it with a test-local pointwise composition.
+"""
+
 from __future__ import annotations
 
-import pytest
+from functools import reduce
+
 from hypothesis import given
 from hypothesis import strategies as st
 
-from statecomplexity import Transformation, compose
+from statecomplexity import Dfa, transition_semigroup
 
 
-def pointwise_compose(s: Transformation, t: Transformation) -> Transformation:
+def letters_dfa(*rows: tuple[int, ...]) -> Dfa:
+    return Dfa(len(rows[0]), tuple("abcd"[: len(rows)]), rows, 0, frozenset())
+
+
+def pointwise_compose(s: tuple[int, ...], t: tuple[int, ...]) -> tuple[int, ...]:
     # Independent oracle: apply s then t, state by state.
-    return Transformation(tuple(t.apply(s.apply(q)) for q in range(s.size)))
+    return tuple(t[s[q]] for q in range(len(s)))
 
 
 def test_transposition_is_involution():
-    swap = Transformation.cycle(3, (0, 1))
-    assert compose(swap, swap) == Transformation.identity(3)
-
-
-def test_cycle_then_point_map():
-    s = Transformation.cycle(3, (0, 1, 2))
-    t = Transformation.point_map(3, 2, 0)
-    assert s.images == (1, 2, 0)
-    assert compose(s, t) == pointwise_compose(s, t)
-    assert compose(s, t).images == (1, 0, 0)
-
-
-def test_identity_laws():
-    one = Transformation.identity(4)
-    t = Transformation((2, 2, 0, 1))
-    assert compose(one, t) == t
-    assert compose(t, one) == t
-
-
-def test_constant_and_cycle_notation():
-    assert Transformation.constant(4, 1).images == (1, 1, 1, 1)
-    assert Transformation.constant(5, 1, domain=range(4)).images == (1, 1, 1, 1, 4)
-    assert Transformation.cycle(4, range(1, 3)).images == (0, 2, 1, 3)
-
-
-def test_length_mismatch_is_an_error():
-    with pytest.raises(ValueError):
-        compose(Transformation.identity(2), Transformation.identity(3))
-
-
-def test_out_of_range_image_rejected():
-    with pytest.raises(ValueError):
-        Transformation((0, 3, 1))
+    swap = (1, 0, 2)
+    assert pointwise_compose(swap, swap) == (0, 1, 2)
+    closure = transition_semigroup(letters_dfa(swap), with_words=True)
+    assert closure.generator_words == {swap: "a", (0, 1, 2): "aa"}
 
 
 @st.composite
-def transformation_tuples(draw, count: int):
-    n = draw(st.integers(min_value=1, max_value=6))
-    return [
-        Transformation(tuple(draw(st.integers(0, n - 1)) for _ in range(n)))
-        for _ in range(count)
-    ]
+def transformation_pairs(draw):
+    n = draw(st.integers(min_value=1, max_value=5))
+    row = st.tuples(*[st.integers(0, n - 1)] * n)
+    return draw(row), draw(row)
 
 
-@given(transformation_tuples(3))
-def test_composition_is_associative(triple):
-    s, t, u = triple
-    assert compose(compose(s, t), u) == compose(s, compose(t, u))
-
-
-@given(transformation_tuples(2))
+@given(transformation_pairs())
 def test_compose_matches_pointwise_oracle(pair):
     s, t = pair
-    assert compose(s, t) == pointwise_compose(s, t)
+    d = letters_dfa(s, t)
+    closure = transition_semigroup(d, with_words=True)
+    assert pointwise_compose(s, t) in closure.elements
+    assert pointwise_compose(t, s) in closure.elements
+    rows = dict(zip(d.alphabet, d.delta))
+    for element, word in closure.generator_words.items():
+        # Each element is its word's letters composed pointwise, in order,
+        # and composing it with either letter stays inside the closure.
+        assert reduce(pointwise_compose, (rows[a] for a in word)) == element
+        assert pointwise_compose(element, s) in closure.elements
+        assert pointwise_compose(element, t) in closure.elements

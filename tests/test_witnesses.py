@@ -4,7 +4,6 @@ import pytest
 
 from statecomplexity import (
     DialectSpec,
-    Transformation,
     WitnessClass,
     accepts,
     apply_dialect,
@@ -18,12 +17,13 @@ from statecomplexity import (
     minimize,
     parse_dialect,
 )
+from statecomplexity.witnesses import _constant, _cycle
 
 from conftest import is_isomorphic, random_word
 
 
 def rows(d):
-    return [t.images for t in d.delta]
+    return list(d.delta)
 
 
 def test_regular_witness_n3_rows():
@@ -35,7 +35,13 @@ def test_regular_witness_n3_rows():
 
 def test_regular_witness_identity_letter():
     for n in (3, 5, 8):
-        assert build_regular(n).transformation("d") == Transformation.identity(n)
+        assert build_regular(n).transformation("d") == tuple(range(n))
+
+
+def test_constant_and_cycle_notation():
+    assert _constant(4, 1) == (1, 1, 1, 1)
+    assert _constant(5, 1, domain=range(4)) == (1, 1, 1, 1, 4)
+    assert _cycle(4, range(1, 3)) == (0, 2, 1, 3)
 
 
 def test_right_ideal_n4_rows():
@@ -134,7 +140,7 @@ def test_dialect_relabels_identity_letter():
     # (a,b,-,c) keeps a and b, drops the old c, and renames d to c.
     d = apply_dialect(build_regular(5), parse_dialect("a,b,-,c"))
     assert d.alphabet == ("a", "b", "c")
-    assert d.transformation("c") == Transformation.identity(5)
+    assert d.transformation("c") == (0, 1, 2, 3, 4)
 
 
 def test_identity_dialect_is_isomorphic():
@@ -146,8 +152,8 @@ def test_swap_dialect_swaps_roles(rng):
     base = build_regular(3)
     swapped = apply_dialect(base, parse_dialect("b,a"))
     assert swapped.alphabet == ("a", "b")
-    assert swapped.transformation("a") == Transformation.cycle(3, (0, 1))
-    assert swapped.transformation("b") == Transformation.cycle(3, range(3))
+    assert swapped.transformation("a") == (1, 0, 2)
+    assert swapped.transformation("b") == (1, 2, 0)
     # Spot-check by acceptance: relabel the letters of a random word.
     original = apply_dialect(base, parse_dialect("a,b"))
     relabel = str.maketrans("ab", "ba")

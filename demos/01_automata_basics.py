@@ -7,7 +7,6 @@ from statecomplexity import (
     Dfa,
     accepts,
     build_regular,
-    complete_over,
     language_alphabet,
     minimize,
     parse_dfa,
@@ -44,7 +43,8 @@ print("its quotient complexity:      ", quotient_complexity(d4))
 # Minimization is canonical: equal languages over equal alphabets give
 # identical DFAs, not merely isomorphic ones. Padding the witness with an
 # unreachable sink changes the machine but not its language.
-padded = complete_over(d4, d4.alphabet, force_sink=True)
+sink = d4.state_count
+padded = Dfa(sink + 1, d4.alphabet, tuple(row + (sink,) for row in d4.delta), d4.initial, d4.finals)
 print("padded witness states:        ", padded.state_count)
 print("minimize(padded) == minimize(witness):", minimize(padded) == minimize(d4))
 assert minimize(padded) == minimize(d4)

@@ -21,7 +21,7 @@ from statecomplexity import (
 # The transition semigroup collects the transformations of all non-empty
 # words. For the three-letter regular witness it is the full n^n monoid:
 d = apply_dialect(build_regular(3), parse_dialect("a,b,c"))
-closure = transition_semigroup(d)
+closure = transition_semigroup(d, with_words=True)
 print("semigroup size of the 3-state witness:", len(closure), "= 3^3")
 some = sorted(closure.generator_words.items(), key=lambda kv: (len(kv[1]), kv[1]))[:5]
 for t, w in some:

@@ -10,9 +10,6 @@ from .automata import CapacityError, Dfa, trim_alphabet
 
 MAX_SEMIGROUP_ELEMENTS = 10**7
 
-# Above this many states the closure skips generator words to save memory.
-WORDS_STATE_LIMIT = 6
-
 
 @dataclass(frozen=True)
 class SemigroupClosure:
@@ -21,9 +18,9 @@ class SemigroupClosure:
     Each element is a tuple of ints whose entry q is the image of state q.
 
     `generator_words` maps each element to one shortest word (ties broken
-    in alphabet order) inducing it, or is None when word tracking was
-    skipped. The empty word is excluded: this is the semigroup generated
-    by the letters, not the monoid.
+    in alphabet order) inducing it, or is None unless `with_words` was
+    set. The empty word is excluded: this is the semigroup generated by
+    the letters, not the monoid.
     """
 
     elements: frozenset[tuple[int, ...]]
@@ -33,7 +30,7 @@ class SemigroupClosure:
         return len(self.elements)
 
 
-def transition_semigroup(d: Dfa, with_words: Optional[bool] = None) -> SemigroupClosure:
+def transition_semigroup(d: Dfa, with_words: bool = False) -> SemigroupClosure:
     """Closure of the letter transformations under composition.
 
     Breadth-first over words in length-then-alphabet order, so the first
@@ -42,8 +39,6 @@ def transition_semigroup(d: Dfa, with_words: Optional[bool] = None) -> Semigroup
     `Dfa` checked the rows, and composing total maps of {0..n-1} gives
     another, so no element is checked again.
     """
-    if with_words is None:
-        with_words = d.state_count < WORDS_STATE_LIMIT
     words: dict[tuple[int, ...], str] = {}
     seen: set[tuple[int, ...]] = set()
     queue: deque[tuple[int, ...]] = deque()

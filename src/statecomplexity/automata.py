@@ -58,6 +58,10 @@ class Dfa:
         n = self.state_count
         if n <= 0:
             raise ValueError("a complete DFA needs at least one state")
+        if not (isinstance(self.alphabet, tuple) and isinstance(self.delta, tuple)):
+            raise ValueError("alphabet and delta must be tuples")
+        if not isinstance(self.finals, frozenset):
+            raise ValueError("finals must be a frozenset")
         make_alphabet(self.alphabet)
         if len(self.delta) != len(self.alphabet):
             raise ValueError("need exactly one row per alphabet letter")
@@ -182,61 +186,37 @@ def reversal_step(d: Dfa) -> Callable[[int], list[int]]:
     return subset_step(masks)
 
 
-def _reachable_part(d: Dfa) -> tuple[list[int], list[list[int]]]:
-    """Reachable states in BFS order, and the transitions among their numbers."""
-    return walk(len(d.alphabet), d.initial, lambda q: [row[q] for row in d.delta])
-
-
 def minimize(d: Dfa) -> Dfa:
     """Minimal DFA for the same language over the same alphabet.
 
-    Partition refinement in the Moore style over the reachable states:
-    states start split by finality and are repeatedly re-bucketed on the
-    classes of their successors until stable. The quotient automaton is
-    then walked from the initial class, so two equal languages over equal
-    alphabets yield identical (not merely isomorphic) results.
+    Partition refinement in the Moore style over every state: states
+    start split by finality and are repeatedly re-bucketed on the classes
+    of their successors until stable. The quotient automaton is then
+    walked from the initial class, which leaves out unreachable classes,
+    so two equal languages over equal alphabets yield identical (not
+    merely isomorphic) results.
     """
-    order, rows = _reachable_part(d)
-    final = [q in d.finals for q in order]
-    cls = [int(f) for f in final]
+    if not d.alphabet:
+        # Nothing to refine; a huge declared state count allocates nothing.
+        return Dfa(1, (), (), 0, frozenset({0}) if d.initial in d.finals else frozenset())
+    cls = [int(q in d.finals) for q in range(d.state_count)]
     count = len(set(cls))
     while True:
         buckets: dict[tuple[int, ...], int] = {}
-        signatures = zip(cls, *([cls[j] for j in row] for row in rows))
+        signatures = zip(cls, *([cls[j] for j in row] for row in d.delta))
         nxt = [buckets.setdefault(sig, len(buckets)) for sig in signatures]
         if len(buckets) == count:
             break
         cls, count = nxt, len(buckets)
     rep: dict[int, int] = {}
-    for i, c in enumerate(cls):
-        rep.setdefault(c, i)
+    for q, c in enumerate(cls):
+        rep.setdefault(c, q)
     return determinize(
         d.alphabet,
-        cls[0],
-        lambda c: [cls[row[rep[c]]] for row in rows],
-        lambda c: final[rep[c]],
+        cls[d.initial],
+        lambda c: [cls[row[rep[c]]] for row in d.delta],
+        lambda c: rep[c] in d.finals,
     )
-
-
-def language_alphabet(d: Dfa) -> tuple[str, ...]:
-    """Letters that occur in at least one accepted word, in alphabet order.
-
-    Only reachable states are visited, so the cost does not grow with
-    unreachable ones.
-    """
-    order, rows = _reachable_part(d)
-    back: list[list[int]] = [[] for _ in order]
-    for row in rows:
-        for i, j in enumerate(row):
-            back[j].append(i)
-    useful = {i for i, q in enumerate(order) if q in d.finals}
-    stack = list(useful)
-    while stack:
-        for i in back[stack.pop()]:
-            if i not in useful:
-                useful.add(i)
-                stack.append(i)
-    return tuple(a for a, row in zip(d.alphabet, rows) if any(j in useful for j in row))
 
 
 def restrict_alphabet(d: Dfa, letters: Iterable[str]) -> Dfa:
@@ -248,12 +228,29 @@ def restrict_alphabet(d: Dfa, letters: Iterable[str]) -> Dfa:
 
 
 def trim_alphabet(d: Dfa) -> Dfa:
-    """Restrict to the language's own alphabet, then minimize.
+    """Minimal DFA of the language over the language's own alphabet.
+
+    The letters are read off the minimal DFA, where every state is
+    reachable and the empty-language state, if any, is the one non-final
+    state that every letter fixes. A letter occurs in an accepted word
+    iff it sends some state to a live one. Dropping the other letters
+    changes no state's language, so the second minimize only renumbers.
 
     The empty language and {epsilon} both trim to a single state over the
     empty alphabet, so the quotient complexity of either is 1.
     """
-    return minimize(restrict_alphabet(d, language_alphabet(d)))
+    m = minimize(d)
+    fixed = (q for q in range(m.state_count) if all(row[q] == q for row in m.delta))
+    dead = next((q for q in fixed if q not in m.finals), None)
+    useful = [a for a, row in zip(m.alphabet, m.delta) if any(q != dead for q in row)]
+    if len(useful) == len(m.alphabet):
+        return m
+    return minimize(restrict_alphabet(m, useful))
+
+
+def language_alphabet(d: Dfa) -> tuple[str, ...]:
+    """Letters that occur in at least one accepted word, in alphabet order."""
+    return trim_alphabet(d).alphabet
 
 
 def quotient_complexity(d: Dfa) -> int:
@@ -268,13 +265,13 @@ def quotient_complexity_of_state(d: Dfa, q: int) -> int:
     return quotient_complexity(replace(d, initial=q))
 
 
-def complete_over(d: Dfa, alphabet: Iterable[str], force_sink: bool = False) -> Dfa:
+def complete_over(d: Dfa, alphabet: Iterable[str]) -> Dfa:
     """Extend the DFA to a larger alphabet by adding one non-final sink.
 
     Letters the DFA already has keep their transformations; every missing
     letter sends every state to the sink, and the sink is fixed by all of
-    the target alphabet. No sink is added when no letter is missing
-    (unless forced), so completion is a no-op on already-complete inputs.
+    the target alphabet. No sink is added when no letter is missing, so
+    completion is a no-op on already-complete inputs.
     """
     target = make_alphabet(alphabet)
     missing = [a for a in target if a not in d.alphabet]
@@ -282,7 +279,7 @@ def complete_over(d: Dfa, alphabet: Iterable[str], force_sink: bool = False) -> 
         raise ValueError(
             f"target alphabet {target!r} is missing letters of {d.alphabet!r}"
         )
-    if not missing and not force_sink:
+    if not missing:
         if target == d.alphabet:
             return d
         # Same letters, different order: just realign the rows.

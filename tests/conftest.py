@@ -139,6 +139,35 @@ def brzozowski_minimize(d: Dfa) -> Dfa:
     return _reverse_determinize(_reverse_determinize(d))
 
 
+def language_alphabet_oracle(d: Dfa) -> tuple[str, ...]:
+    """Letters on some path from the initial state to a final state.
+
+    A forward search for the reachable states, then a reverse search from
+    the reachable finals for the states that reach one; a letter counts
+    iff it moves a reachable state into that set. An oracle against
+    `language_alphabet`, which reads the letters off the minimal DFA.
+    """
+    order = [d.initial]
+    seen = {d.initial}
+    for q in order:
+        for row in d.delta:
+            if row[q] not in seen:
+                seen.add(row[q])
+                order.append(row[q])
+    back: dict[int, list[int]] = {q: [] for q in order}
+    for row in d.delta:
+        for q in order:
+            back[row[q]].append(q)
+    useful = {q for q in order if q in d.finals}
+    stack = list(useful)
+    while stack:
+        for q in back[stack.pop()]:
+            if q not in useful:
+                useful.add(q)
+                stack.append(q)
+    return tuple(a for a, row in zip(d.alphabet, d.delta) if any(row[q] in useful for q in order))
+
+
 def is_isomorphic(d1: Dfa, d2: Dfa) -> bool:
     """Structural equality up to renaming of states.
 

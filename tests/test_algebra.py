@@ -27,9 +27,10 @@ def test_full_transformation_semigroup_sizes():
 
 def test_identity_generator_gives_singleton():
     d = Dfa(4, ("a",), ((0, 1, 2, 3),), 0, frozenset({0}))
-    closure = transition_semigroup(d)
+    closure = transition_semigroup(d, with_words=True)
     assert len(closure) == 1
     assert closure.generator_words == {(0, 1, 2, 3): "a"}
+    assert transition_semigroup(d).generator_words is None  # words only on request
 
 
 def pointwise(d: Dfa, word: str) -> tuple[int, ...]:
@@ -80,16 +81,10 @@ def test_identity_letter_is_neutral():
 def test_elements_are_nonempty_word_transformations():
     # The identity is present only when some non-empty word induces it.
     d = Dfa(2, ("a",), ((1, 0),), 0, frozenset({0}))
-    closure = transition_semigroup(d)
+    closure = transition_semigroup(d, with_words=True)
     assert closure.generator_words == {(1, 0): "a", (0, 1): "aa"}  # the swap is an involution
     one_letter = Dfa(2, ("a",), ((1, 1),), 0, frozenset({0}))
     assert len(transition_semigroup(one_letter)) == 1  # no identity anywhere
-
-
-def test_words_skipped_for_large_state_counts():
-    d = build_regular(6)
-    assert transition_semigroup(d).generator_words is None
-    assert transition_semigroup(d, with_words=True).generator_words is not None
 
 
 def test_syntactic_sizes_of_ideal_witnesses():

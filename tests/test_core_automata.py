@@ -23,6 +23,7 @@ from conftest import (
     brzozowski_minimize,
     fig_ends_in_b,
     is_isomorphic,
+    language_alphabet_oracle,
     nfa_accepts,
     random_dfa,
     random_word,
@@ -130,13 +131,38 @@ def test_dfa_rejects_final_states_out_of_range(finals):
 
 
 @pytest.mark.parametrize(
-    "delta,initial",
-    [(((0, 1),), 0.5), (((0.0, 1),), 0), (([0, 1],), 0), (((0, 1, 0),), 0)],
-    ids=["float-initial", "float-image", "list-row", "long-row"],
+    "field,value",
+    [
+        ("initial", 0.5),
+        ("delta", ((0.0, 1),)),
+        ("delta", ([0, 1],)),
+        ("delta", ((0, 1, 0),)),
+        ("delta", [(0, 1)]),
+        ("alphabet", ["a"]),
+        ("finals", {0}),
+    ],
+    ids=[
+        "float-initial",
+        "float-image",
+        "list-row",
+        "long-row",
+        "list-delta",
+        "list-alphabet",
+        "set-finals",
+    ],
 )
-def test_dfa_rejects_non_integer_or_misshapen_rows(delta, initial):
+def test_dfa_rejects_non_integer_or_misshapen_rows(field, value):
+    # Every field but the one under test is valid; a mutable container
+    # would make the DFA unhashable and unequal to its tuple twin.
+    fields = {
+        "state_count": 2,
+        "alphabet": ("a",),
+        "delta": ((0, 1),),
+        "initial": 0,
+        "finals": frozenset(),
+    }
     with pytest.raises(ValueError):
-        Dfa(2, ("a",), delta, initial, frozenset())
+        Dfa(**{**fields, field: value})
 
 
 def test_dfa_rejects_out_of_range_image():
@@ -243,6 +269,18 @@ def test_empty_language_has_empty_alphabet():
     assert quotient_complexity(empty_language_dfa()) == 1
 
 
+def test_trim_agrees_with_the_reverse_search_oracle():
+    rng = random.Random(20261018)
+    dfas = [random_dfa(rng) for _ in range(1000)]
+    # random_dfa never draws the empty alphabet: empty and {epsilon}.
+    dfas += [Dfa(3, (), (), q, finals) for finals in (frozenset(), frozenset({1})) for q in range(3)]
+    for d in dfas:
+        letters = language_alphabet_oracle(d)
+        assert language_alphabet(d) == letters
+        assert trim_alphabet(d) == brzozowski_minimize(restrict_alphabet(d, letters))
+        assert minimize(d) == brzozowski_minimize(d)
+
+
 # --- trim_alphabet / quotient_complexity -------------------------------------
 
 
@@ -322,12 +360,6 @@ def test_completing_fig1_matches_fig2():
 def test_complete_over_own_alphabet_is_identity():
     d = fig_ends_in_b()
     assert complete_over(d, ("a", "b")) is d
-
-
-def test_forced_sink_on_complete_input():
-    d = fig_ends_in_b()
-    forced = complete_over(d, ("a", "b"), force_sink=True)
-    assert forced.state_count == 3
 
 
 def test_sink_added_for_all_final_one_state():

@@ -21,6 +21,15 @@ class EmptyAtomError(ValueError):
     """Raised when a complexity is requested for a profile with no words."""
 
 
+def _profile(s: Iterable[int], n: int) -> frozenset[int]:
+    """S as a set, after checking that it names only states 0..n-1."""
+    s = frozenset(s)
+    for q in s:
+        if not isinstance(q, int) or not 0 <= q < n:
+            raise ValueError(f"profile member {q!r} is not a state 0..{n - 1}")
+    return s
+
+
 def _pair_automaton(d: Dfa, s: Iterable[int]) -> Dfa:
     """DFA over (X, Y) pairs tracking the images of S and of its complement.
 
@@ -42,7 +51,7 @@ def _pair_automaton(d: Dfa, s: Iterable[int]) -> Dfa:
     def accepting(pair) -> bool:
         return pair is not dead and not pair[0] & ~finals and not pair[1] & finals
 
-    x = bits(s)
+    x = bits(_profile(s, d.state_count))
     return determinize(d.alphabet, (x, ((1 << d.state_count) - 1) & ~x), step, accepting)
 
 
@@ -84,9 +93,10 @@ def atom_complexity(d: Dfa, s: Iterable[int]) -> int:
     Raising on an empty atom keeps "no such atom" distinct from the
     one-state complexity of an actual language.
     """
+    s = frozenset(s)
     a = atom_dfa(d, s)
     if not a.finals:
-        raise EmptyAtomError(f"no word has profile {sorted(frozenset(s))!r}")
+        raise EmptyAtomError(f"no word has profile {sorted(s)!r}")
     return a.state_count
 
 
@@ -111,7 +121,7 @@ def atom_formula(witness_class: WitnessClass, n: int, s: Iterable[int]) -> int:
     """
     if n < witness_class.min_n:
         raise ValueError(f"{witness_class.value} witness needs n >= {witness_class.min_n}")
-    s = frozenset(s)
+    s = _profile(s, n)
     full = frozenset(range(n))
     size = len(s)
     if witness_class is WitnessClass.REGULAR:
@@ -141,3 +151,21 @@ def atom_formula(witness_class: WitnessClass, n: int, s: Iterable[int]) -> int:
             n, size, lambda x, y: comb(n - 2, x - 1) * comb(n - x - 1, y - 1)
         )
     raise ValueError(f"unknown witness class {witness_class!r}")
+
+
+def explicit_profiles(cls: WitnessClass, n: int) -> list[frozenset[int]]:
+    """Profiles the closed forms single out by name, checked even if empty.
+
+    Returns the documented table as stated. Its two-sided entry Q_n minus
+    {1} is one no atom of the witness has (a profile holding the initial
+    state of a two-sided ideal is all of Q_n), and the table's left-ideal
+    general branch is likewise not met by the witness; see atom_formula.
+    """
+    full = frozenset(range(n))
+    if cls is WitnessClass.REGULAR:
+        return [frozenset(), full]
+    if cls is WitnessClass.RIGHT_IDEAL:
+        return [full]
+    if cls is WitnessClass.LEFT_IDEAL:
+        return [frozenset(), full]
+    return [full, full - {1}]

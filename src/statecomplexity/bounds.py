@@ -10,16 +10,18 @@ exactly as documented even where measurement disagrees.
 
 from __future__ import annotations
 
+import ast
 import concurrent.futures
 import functools
+import re
 import sys
 import time
 from dataclasses import dataclass
-from types import MappingProxyType
-from typing import Callable, Mapping, Optional
+from types import CodeType, MappingProxyType
+from typing import Mapping, Optional
 
 from .algebra import syntactic_semigroup_size
-from .atoms import atom_dfa, atom_formula, atoms
+from .atoms import atom_dfa, atom_formula, atoms, explicit_profiles
 from .automata import Dfa, minimize, quotient_complexity, trim_alphabet
 from .operations import BooleanOp, boolean, product, reverse, star
 from .witnesses import WitnessClass, apply_dialect, parse_dialect
@@ -55,28 +57,49 @@ class WitnessRecipe:
         return f"{self.witness.value}({inner})"
 
 
+def _in_grammar(node: ast.AST) -> bool:
+    if isinstance(node, ast.Name):
+        return node.id in ("m", "n")
+    if isinstance(node, ast.Constant):
+        return type(node.value) is int
+    return isinstance(node, (ast.Expression, ast.BinOp, ast.Add, ast.Sub, ast.Mult, ast.Pow, ast.Load))
+
+
+@functools.cache
+def _compile_formula(text: str) -> CodeType:
+    """Bytecode of a formula text in integer literals, m, n, + - * ^ and parentheses.
+
+    `^` is power and an integer written before m, n or "(" multiplies it
+    (`2n` is `2*n`). Any other name, call, attribute, operator or literal
+    raises ValueError, so evaluating the bytecode only does integer
+    arithmetic on m and n.
+    """
+    source = re.sub(r"(?<=\d)(?=[mn(])", "*", text.replace("^", "**"))
+    try:
+        tree = ast.parse(source, mode="eval")
+    except SyntaxError:
+        tree = None
+    if tree is None or not all(_in_grammar(node) for node in ast.walk(tree)):
+        raise ValueError(f"not a closed form in m and n: {text!r}")
+    return compile(tree, text, "eval")
+
+
 @dataclass(frozen=True)
 class BoundEntry:
-    """One verifiable bound: recipes, operation, and the expected formula."""
+    """One verifiable bound: recipes, operation, and the formula text that states it."""
 
     entry_id: str
     operation: str
     lhs: WitnessRecipe
     rhs: Optional[WitnessRecipe]
-    formula: Callable[..., int]  # (m, n) for binary entries, (n) for unary
-    formula_text: str
-    min_m: int
-    min_n: int
-    default_range: tuple[int, int]
+    formula_text: str  # in m and n; unary entries never mention m
 
     @property
     def is_binary(self) -> bool:
         return self.rhs is not None
 
     def expected(self, m: Optional[int], n: int) -> int:
-        if self.is_binary:
-            return self.formula(m, n)
-        return self.formula(n)
+        return eval(_compile_formula(self.formula_text), {"__builtins__": {}}, {"m": m, "n": n})
 
 
 @dataclass(frozen=True)
@@ -99,43 +122,18 @@ _DEFAULT_RANGE = {
 }
 
 
-def _entries_for_class(
-    tag: str,
-    cls: WitnessClass,
-    unary: list[tuple[str, str, str, Callable[[int], int], str]],
-    binary: list[tuple[str, str, str, str, Callable[[int, int], int], str]],
-) -> list[BoundEntry]:
-    out = []
-    lo = cls.min_n
-    for suffix, operation, dialect, formula, text in unary:
-        out.append(
-            BoundEntry(
-                entry_id=f"{tag}-{suffix}",
-                operation=operation,
-                lhs=WitnessRecipe(cls, dialect),
-                rhs=None,
-                formula=formula,
-                formula_text=text,
-                min_m=lo,
-                min_n=lo,
-                default_range=_DEFAULT_RANGE[cls],
-            )
+def _entries_for_class(tag: str, cls: WitnessClass, rows: list[tuple[str, ...]]) -> list[BoundEntry]:
+    """Entries from (suffix, operation, lhs dialect[, rhs dialect], formula text) rows."""
+    return [
+        BoundEntry(
+            entry_id=f"{tag}-{suffix}",
+            operation=operation,
+            lhs=WitnessRecipe(cls, dialects[0]),
+            rhs=WitnessRecipe(cls, dialects[1]) if len(dialects) > 1 else None,
+            formula_text=text,
         )
-    for suffix, operation, lhs_dialect, rhs_dialect, formula, text in binary:
-        out.append(
-            BoundEntry(
-                entry_id=f"{tag}-{suffix}",
-                operation=operation,
-                lhs=WitnessRecipe(cls, lhs_dialect),
-                rhs=WitnessRecipe(cls, rhs_dialect),
-                formula=formula,
-                formula_text=text,
-                min_m=lo,
-                min_n=lo,
-                default_range=_DEFAULT_RANGE[cls],
-            )
-        )
-    return out
+        for suffix, operation, *dialects, text in rows
+    ]
 
 
 def registry() -> list[BoundEntry]:
@@ -145,116 +143,106 @@ def registry() -> list[BoundEntry]:
     entries += _entries_for_class(
         "REG",
         WitnessClass.REGULAR,
-        unary=[
-            ("KAPPA", "complexity", "", lambda n: n, "n"),
-            ("SEMIGROUP", "semigroup", "a,b,c", lambda n: n**n, "n^n"),
-            ("REVERSE", "reverse", "a,b,c", lambda n: 2**n, "2^n"),
-            ("ATOM-COUNT", "atom-count", "a,b,c", lambda n: 2**n, "2^n"),
-            ("ATOMS", "atoms", "a,b,c", lambda n: 0, "per-profile closed forms"),
-            ("STAR", "star", "a,b", lambda n: 2 ** (n - 1) + 2 ** (n - 2), "2^(n-1) + 2^(n-2)"),
-        ],
-        binary=[
-            ("PROD-R", "product", "a,b,c", "a,b,c", lambda m, n: m * 2**n - 2 ** (n - 1), "m*2^n - 2^(n-1)"),
-            ("PROD-U", "product", "a,b,-,c", "b,a,-,d", lambda m, n: m * 2**n + 2 ** (n - 1), "m*2^n + 2^(n-1)"),
-            ("BOOL-R-UNION", "union", "a,b", "b,a", lambda m, n: m * n, "m*n"),
-            ("BOOL-R-SYMDIFF", "symdiff", "a,b", "b,a", lambda m, n: m * n, "m*n"),
-            ("BOOL-R-DIFF", "diff", "a,b", "b,a", lambda m, n: m * n, "m*n"),
-            ("BOOL-R-INTER", "inter", "a,b", "b,a", lambda m, n: m * n, "m*n"),
-            ("BOOL-U-UNION", "union", "a,b,-,c", "b,a,-,d", lambda m, n: (m + 1) * (n + 1), "(m+1)*(n+1)"),
-            ("BOOL-U-SYMDIFF", "symdiff", "a,b,-,c", "b,a,-,d", lambda m, n: (m + 1) * (n + 1), "(m+1)*(n+1)"),
-            ("BOOL-U-NOR", "nor", "a,b,-,c", "b,a,-,d", lambda m, n: (m + 1) * (n + 1), "(m+1)*(n+1)"),
-            ("BOOL-U-XNOR", "xnor", "a,b,-,c", "b,a,-,d", lambda m, n: (m + 1) * (n + 1), "(m+1)*(n+1)"),
-            ("BOOL-U-IMPL", "impl", "a,b,-,c", "b,a,-,d", lambda m, n: m * n + m + 1, "m*n + m + 1"),
-            ("BOOL-U-CONVIMPL", "convimpl", "a,b,-,c", "b,a,-,d", lambda m, n: m * n + n + 1, "m*n + n + 1"),
-            ("BOOL-U-DIFF", "diff", "a,b,-,c", "b,a,-,d", lambda m, n: m * n + m, "m*n + m"),
-            ("BOOL-U-REVDIFF", "revdiff", "a,b,-,c", "b,a,-,d", lambda m, n: m * n + n, "m*n + n"),
-            ("BOOL-U-NAND", "nand", "a,b,-,c", "b,a,-,d", lambda m, n: m * n + 1, "m*n + 1"),
-            ("BOOL-U-INTER", "inter", "a,b,-,c", "b,a,-,d", lambda m, n: m * n, "m*n"),
-            ("BOOL-U-DIFF-MIN", "diff", "a,b,-,c", "b,a", lambda m, n: m * n + m, "m*n + m"),
-            ("BOOL-U-INTER-MIN", "inter", "a,b", "b,a", lambda m, n: m * n, "m*n"),
+        [
+            ("KAPPA", "complexity", "", "n"),
+            ("SEMIGROUP", "semigroup", "a,b,c", "n^n"),
+            ("REVERSE", "reverse", "a,b,c", "2^n"),
+            ("ATOM-COUNT", "atom-count", "a,b,c", "2^n"),
+            ("ATOMS", "atoms", "a,b,c", "per-profile closed forms"),
+            ("STAR", "star", "a,b", "2^(n-1) + 2^(n-2)"),
+            ("PROD-R", "product", "a,b,c", "a,b,c", "m*2^n - 2^(n-1)"),
+            ("PROD-U", "product", "a,b,-,c", "b,a,-,d", "m*2^n + 2^(n-1)"),
+            ("BOOL-R-UNION", "union", "a,b", "b,a", "m*n"),
+            ("BOOL-R-SYMDIFF", "symdiff", "a,b", "b,a", "m*n"),
+            ("BOOL-R-DIFF", "diff", "a,b", "b,a", "m*n"),
+            ("BOOL-R-INTER", "inter", "a,b", "b,a", "m*n"),
+            ("BOOL-U-UNION", "union", "a,b,-,c", "b,a,-,d", "(m+1)*(n+1)"),
+            ("BOOL-U-SYMDIFF", "symdiff", "a,b,-,c", "b,a,-,d", "(m+1)*(n+1)"),
+            ("BOOL-U-NOR", "nor", "a,b,-,c", "b,a,-,d", "(m+1)*(n+1)"),
+            ("BOOL-U-XNOR", "xnor", "a,b,-,c", "b,a,-,d", "(m+1)*(n+1)"),
+            ("BOOL-U-IMPL", "impl", "a,b,-,c", "b,a,-,d", "m*n + m + 1"),
+            ("BOOL-U-CONVIMPL", "convimpl", "a,b,-,c", "b,a,-,d", "m*n + n + 1"),
+            ("BOOL-U-DIFF", "diff", "a,b,-,c", "b,a,-,d", "m*n + m"),
+            ("BOOL-U-REVDIFF", "revdiff", "a,b,-,c", "b,a,-,d", "m*n + n"),
+            ("BOOL-U-NAND", "nand", "a,b,-,c", "b,a,-,d", "m*n + 1"),
+            ("BOOL-U-INTER", "inter", "a,b,-,c", "b,a,-,d", "m*n"),
+            ("BOOL-U-DIFF-MIN", "diff", "a,b,-,c", "b,a", "m*n + m"),
+            ("BOOL-U-INTER-MIN", "inter", "a,b", "b,a", "m*n"),
         ],
     )
 
     entries += _entries_for_class(
         "RID",
         WitnessClass.RIGHT_IDEAL,
-        unary=[
-            ("KAPPA", "complexity", "", lambda n: n, "n"),
-            ("SEMIGROUP", "semigroup", "a,b,c,d", lambda n: n ** (n - 1), "n^(n-1)"),
-            ("REVERSE", "reverse", "a,-,-,d", lambda n: 2 ** (n - 1), "2^(n-1)"),
-            ("ATOM-COUNT", "atom-count", "a,-,-,d", lambda n: 2 ** (n - 1), "2^(n-1)"),
-            ("ATOMS", "atoms", "a,b,c,d", lambda n: 0, "per-profile closed forms"),
-            ("STAR", "star", "a,-,-,d", lambda n: n + 1, "n + 1"),
-        ],
-        binary=[
-            ("PROD-R", "product", "a,b,-,d", "a,b,-,d", lambda m, n: m + 2 ** (n - 2), "m + 2^(n-2)"),
-            ("PROD-U", "product", "a,b,-,d,e", "a,b,-,d,c",
-             lambda m, n: m + 2 ** (n - 2) + 2 ** (n - 1) + 1, "m + 2^(n-2) + 2^(n-1) + 1"),
-            ("BOOL-R-INTER", "inter", "a,b,-,d", "b,a,-,d", lambda m, n: m * n, "m*n"),
-            ("BOOL-R-SYMDIFF", "symdiff", "a,b,-,d", "b,a,-,d", lambda m, n: m * n, "m*n"),
-            ("BOOL-R-DIFF", "diff", "a,b,-,d", "b,a,-,d", lambda m, n: m * n - (m - 1), "m*n - (m-1)"),
-            ("BOOL-R-UNION", "union", "a,b,-,d", "b,a,-,d", lambda m, n: m * n - (m + n - 2), "m*n - (m+n-2)"),
-            ("BOOL-U-UNION", "union", "a,b,-,d,e", "e,c,-,d,a", lambda m, n: (m + 1) * (n + 1), "(m+1)*(n+1)"),
-            ("BOOL-U-SYMDIFF", "symdiff", "a,b,-,d,e", "e,c,-,d,a", lambda m, n: (m + 1) * (n + 1), "(m+1)*(n+1)"),
-            ("BOOL-U-DIFF", "diff", "a,b,-,d,e", "e,c,-,d,a", lambda m, n: m * n + m, "m*n + m"),
-            ("BOOL-U-INTER", "inter", "a,b,-,d,e", "e,c,-,d,a", lambda m, n: m * n, "m*n"),
-            ("BOOL-U-DIFF-MIN", "diff", "a,b,-,d,e", "e,-,-,d,a", lambda m, n: m * n + m, "m*n + m"),
-            ("BOOL-U-INTER-MIN", "inter", "a,-,-,d,e", "e,-,-,d,a", lambda m, n: m * n, "m*n"),
+        [
+            ("KAPPA", "complexity", "", "n"),
+            ("SEMIGROUP", "semigroup", "a,b,c,d", "n^(n-1)"),
+            ("REVERSE", "reverse", "a,-,-,d", "2^(n-1)"),
+            ("ATOM-COUNT", "atom-count", "a,-,-,d", "2^(n-1)"),
+            ("ATOMS", "atoms", "a,b,c,d", "per-profile closed forms"),
+            ("STAR", "star", "a,-,-,d", "n + 1"),
+            ("PROD-R", "product", "a,b,-,d", "a,b,-,d", "m + 2^(n-2)"),
+            ("PROD-U", "product", "a,b,-,d,e", "a,b,-,d,c", "m + 2^(n-2) + 2^(n-1) + 1"),
+            ("BOOL-R-INTER", "inter", "a,b,-,d", "b,a,-,d", "m*n"),
+            ("BOOL-R-SYMDIFF", "symdiff", "a,b,-,d", "b,a,-,d", "m*n"),
+            ("BOOL-R-DIFF", "diff", "a,b,-,d", "b,a,-,d", "m*n - (m-1)"),
+            ("BOOL-R-UNION", "union", "a,b,-,d", "b,a,-,d", "m*n - (m+n-2)"),
+            ("BOOL-U-UNION", "union", "a,b,-,d,e", "e,c,-,d,a", "(m+1)*(n+1)"),
+            ("BOOL-U-SYMDIFF", "symdiff", "a,b,-,d,e", "e,c,-,d,a", "(m+1)*(n+1)"),
+            ("BOOL-U-DIFF", "diff", "a,b,-,d,e", "e,c,-,d,a", "m*n + m"),
+            ("BOOL-U-INTER", "inter", "a,b,-,d,e", "e,c,-,d,a", "m*n"),
+            ("BOOL-U-DIFF-MIN", "diff", "a,b,-,d,e", "e,-,-,d,a", "m*n + m"),
+            ("BOOL-U-INTER-MIN", "inter", "a,-,-,d,e", "e,-,-,d,a", "m*n"),
         ],
     )
 
     entries += _entries_for_class(
         "LID",
         WitnessClass.LEFT_IDEAL,
-        unary=[
-            ("KAPPA", "complexity", "", lambda n: n, "n"),
-            ("SEMIGROUP", "semigroup", "", lambda n: n ** (n - 1) + n - 1, "n^(n-1) + n - 1"),
-            ("REVERSE", "reverse", "a,-,c,d,e", lambda n: 2 ** (n - 1) + 1, "2^(n-1) + 1"),
-            ("ATOM-COUNT", "atom-count", "a,-,c,d,e", lambda n: 2 ** (n - 1) + 1, "2^(n-1) + 1"),
-            ("ATOMS", "atoms", "", lambda n: 0, "per-profile closed forms"),
-            ("STAR", "star", "a,-,-,-,e", lambda n: n + 1, "n + 1"),
-        ],
-        binary=[
-            ("PROD-R", "product", "a,-,-,-,e", "a,-,-,-,e", lambda m, n: m + n - 1, "m + n - 1"),
-            ("PROD-U", "product", "a,b,-,d,e", "a,d,c,-,e", lambda m, n: m * n + m + n, "m*n + m + n"),
-            ("BOOL-R-UNION", "union", "a,-,c,-,e", "a,-,e,-,c", lambda m, n: m * n, "m*n"),
-            ("BOOL-R-SYMDIFF", "symdiff", "a,-,c,-,e", "a,-,e,-,c", lambda m, n: m * n, "m*n"),
-            ("BOOL-R-DIFF", "diff", "a,-,c,-,e", "a,-,e,-,c", lambda m, n: m * n, "m*n"),
-            ("BOOL-R-INTER", "inter", "a,-,c,-,e", "a,-,e,-,c", lambda m, n: m * n, "m*n"),
-            ("BOOL-U-UNION", "union", "a,-,c,d,e", "a,b,e,-,c", lambda m, n: (m + 1) * (n + 1), "(m+1)*(n+1)"),
-            ("BOOL-U-SYMDIFF", "symdiff", "a,-,c,d,e", "a,b,e,-,c", lambda m, n: (m + 1) * (n + 1), "(m+1)*(n+1)"),
-            ("BOOL-U-DIFF", "diff", "a,-,c,d,e", "a,b,e,-,c", lambda m, n: m * n + m, "m*n + m"),
-            ("BOOL-U-INTER", "inter", "a,-,c,d,e", "a,b,e,-,c", lambda m, n: m * n, "m*n"),
-            ("BOOL-U-DIFF-MIN", "diff", "a,-,c,d,e", "a,-,e,-,c", lambda m, n: m * n + m, "m*n + m"),
-            ("BOOL-U-INTER-MIN", "inter", "a,-,c,-,e", "a,-,e,-,c", lambda m, n: m * n, "m*n"),
+        [
+            ("KAPPA", "complexity", "", "n"),
+            ("SEMIGROUP", "semigroup", "", "n^(n-1) + n - 1"),
+            ("REVERSE", "reverse", "a,-,c,d,e", "2^(n-1) + 1"),
+            ("ATOM-COUNT", "atom-count", "a,-,c,d,e", "2^(n-1) + 1"),
+            ("ATOMS", "atoms", "", "per-profile closed forms"),
+            ("STAR", "star", "a,-,-,-,e", "n + 1"),
+            ("PROD-R", "product", "a,-,-,-,e", "a,-,-,-,e", "m + n - 1"),
+            ("PROD-U", "product", "a,b,-,d,e", "a,d,c,-,e", "m*n + m + n"),
+            ("BOOL-R-UNION", "union", "a,-,c,-,e", "a,-,e,-,c", "m*n"),
+            ("BOOL-R-SYMDIFF", "symdiff", "a,-,c,-,e", "a,-,e,-,c", "m*n"),
+            ("BOOL-R-DIFF", "diff", "a,-,c,-,e", "a,-,e,-,c", "m*n"),
+            ("BOOL-R-INTER", "inter", "a,-,c,-,e", "a,-,e,-,c", "m*n"),
+            ("BOOL-U-UNION", "union", "a,-,c,d,e", "a,b,e,-,c", "(m+1)*(n+1)"),
+            ("BOOL-U-SYMDIFF", "symdiff", "a,-,c,d,e", "a,b,e,-,c", "(m+1)*(n+1)"),
+            ("BOOL-U-DIFF", "diff", "a,-,c,d,e", "a,b,e,-,c", "m*n + m"),
+            ("BOOL-U-INTER", "inter", "a,-,c,d,e", "a,b,e,-,c", "m*n"),
+            ("BOOL-U-DIFF-MIN", "diff", "a,-,c,d,e", "a,-,e,-,c", "m*n + m"),
+            ("BOOL-U-INTER-MIN", "inter", "a,-,c,-,e", "a,-,e,-,c", "m*n"),
         ],
     )
 
     entries += _entries_for_class(
         "TID",
         WitnessClass.TWO_SIDED_IDEAL,
-        unary=[
-            ("KAPPA", "complexity", "", lambda n: n, "n"),
-            ("SEMIGROUP", "semigroup", "",
-             lambda n: n ** (n - 2) + (n - 2) * 2 ** (n - 2) + 1, "n^(n-2) + (n-2)*2^(n-2) + 1"),
-            ("REVERSE", "reverse", "a,-,-,d,e,f", lambda n: 2 ** (n - 1) + 1, "2^(n-1) + 1"),
-            ("ATOM-COUNT", "atom-count", "a,-,-,d,e,f", lambda n: 2 ** (n - 1) + 1, "2^(n-1) + 1"),
-            ("ATOMS", "atoms", "", lambda n: 0, "per-profile closed forms"),
-            ("STAR", "star", "a,-,-,-,e,f", lambda n: n + 1, "n + 1"),
-        ],
-        binary=[
-            ("PROD-R", "product", "a,-,-,-,e,f", "a,-,-,-,e,f", lambda m, n: m + n - 1, "m + n - 1"),
-            ("PROD-U", "product", "a,b,-,-,e,f", "a,c,-,-,e,f", lambda m, n: m + 2 * n, "m + 2n"),
-            ("BOOL-R-INTER", "inter", "a,b,-,d,e,f", "b,a,-,d,e,f", lambda m, n: m * n, "m*n"),
-            ("BOOL-R-SYMDIFF", "symdiff", "a,b,-,d,e,f", "b,a,-,d,e,f", lambda m, n: m * n, "m*n"),
-            ("BOOL-R-DIFF", "diff", "a,b,-,d,e,f", "b,a,-,d,e,f", lambda m, n: m * n - (m - 1), "m*n - (m-1)"),
-            ("BOOL-R-UNION", "union", "a,b,-,d,e,f", "b,a,-,d,e,f", lambda m, n: m * n - (m + n - 2), "m*n - (m+n-2)"),
-            ("BOOL-U-UNION", "union", "a,b,c,-,e,f", "a,e,d,-,b,f", lambda m, n: (m + 1) * (n + 1), "(m+1)*(n+1)"),
-            ("BOOL-U-SYMDIFF", "symdiff", "a,b,c,-,e,f", "a,e,d,-,b,f", lambda m, n: (m + 1) * (n + 1), "(m+1)*(n+1)"),
-            ("BOOL-U-DIFF", "diff", "a,b,c,-,e,f", "a,e,d,-,b,f", lambda m, n: m * n + m, "m*n + m"),
-            ("BOOL-U-INTER", "inter", "a,b,c,-,e,f", "a,e,d,-,b,f", lambda m, n: m * n, "m*n"),
-            ("BOOL-U-DIFF-MIN", "diff", "a,b,c,-,e,f", "a,e,-,-,b,f", lambda m, n: m * n + m, "m*n + m"),
-            ("BOOL-U-INTER-MIN", "inter", "a,b,-,-,e,f", "a,e,-,-,b,f", lambda m, n: m * n, "m*n"),
+        [
+            ("KAPPA", "complexity", "", "n"),
+            ("SEMIGROUP", "semigroup", "", "n^(n-2) + (n-2)*2^(n-2) + 1"),
+            ("REVERSE", "reverse", "a,-,-,d,e,f", "2^(n-1) + 1"),
+            ("ATOM-COUNT", "atom-count", "a,-,-,d,e,f", "2^(n-1) + 1"),
+            ("ATOMS", "atoms", "", "per-profile closed forms"),
+            ("STAR", "star", "a,-,-,-,e,f", "n + 1"),
+            ("PROD-R", "product", "a,-,-,-,e,f", "a,-,-,-,e,f", "m + n - 1"),
+            ("PROD-U", "product", "a,b,-,-,e,f", "a,c,-,-,e,f", "m + 2n"),
+            ("BOOL-R-INTER", "inter", "a,b,-,d,e,f", "b,a,-,d,e,f", "m*n"),
+            ("BOOL-R-SYMDIFF", "symdiff", "a,b,-,d,e,f", "b,a,-,d,e,f", "m*n"),
+            ("BOOL-R-DIFF", "diff", "a,b,-,d,e,f", "b,a,-,d,e,f", "m*n - (m-1)"),
+            ("BOOL-R-UNION", "union", "a,b,-,d,e,f", "b,a,-,d,e,f", "m*n - (m+n-2)"),
+            ("BOOL-U-UNION", "union", "a,b,c,-,e,f", "a,e,d,-,b,f", "(m+1)*(n+1)"),
+            ("BOOL-U-SYMDIFF", "symdiff", "a,b,c,-,e,f", "a,e,d,-,b,f", "(m+1)*(n+1)"),
+            ("BOOL-U-DIFF", "diff", "a,b,c,-,e,f", "a,e,d,-,b,f", "m*n + m"),
+            ("BOOL-U-INTER", "inter", "a,b,c,-,e,f", "a,e,d,-,b,f", "m*n"),
+            ("BOOL-U-DIFF-MIN", "diff", "a,b,c,-,e,f", "a,e,-,-,b,f", "m*n + m"),
+            ("BOOL-U-INTER-MIN", "inter", "a,b,-,-,e,f", "a,e,-,-,b,f", "m*n"),
         ],
     )
 
@@ -272,24 +260,6 @@ def registry_by_id() -> Mapping[str, BoundEntry]:
     return MappingProxyType(table)
 
 
-def _explicit_profiles(cls: WitnessClass, n: int) -> list[frozenset[int]]:
-    """Profiles the closed forms single out by name, checked even if empty.
-
-    Returns the documented table as stated. Its two-sided entry Q_n minus
-    {1} is one no atom of the witness has (a profile holding the initial
-    state of a two-sided ideal is all of Q_n), and the table's left-ideal
-    general branch is likewise not met by the witness; see atom_formula.
-    """
-    full = frozenset(range(n))
-    if cls is WitnessClass.REGULAR:
-        return [frozenset(), full]
-    if cls is WitnessClass.RIGHT_IDEAL:
-        return [full]
-    if cls is WitnessClass.LEFT_IDEAL:
-        return [frozenset(), full]
-    return [full, full - {1}]
-
-
 def _profile_key(s: frozenset[int]) -> tuple[int, tuple[int, ...]]:
     return (len(s), tuple(sorted(s)))
 
@@ -305,7 +275,7 @@ def _check_atoms(entry: BoundEntry, n: int) -> tuple[int, int]:
     if minimize(witness).state_count != witness.state_count:
         raise ValueError(f"witness {entry.lhs} is not minimal at n={n}")
     realized = set(atoms(witness))
-    checks = sorted(realized | set(_explicit_profiles(entry.lhs.witness, n)), key=_profile_key)
+    checks = sorted(realized | set(explicit_profiles(entry.lhs.witness, n)), key=_profile_key)
     passed = 0
     for s in checks:
         if s not in realized:
@@ -377,23 +347,24 @@ def _cells_for(
     n_range: Optional[tuple[int, int]],
 ) -> tuple[list[tuple[str, Optional[int], int]], list[str]]:
     notices = []
-    lo_m, hi_m = m_range if m_range else entry.default_range
-    lo_n, hi_n = n_range if n_range else entry.default_range
-    ms = [m for m in range(lo_m, hi_m + 1) if m >= entry.min_m]
-    ns = [n for n in range(lo_n, hi_n + 1) if n >= entry.min_n]
-    skipped_m = [m for m in range(lo_m, hi_m + 1) if m < entry.min_m]
-    skipped_n = [n for n in range(lo_n, hi_n + 1) if n < entry.min_n]
+    floor = entry.lhs.witness.min_n
+    lo_m, hi_m = m_range if m_range else _DEFAULT_RANGE[entry.lhs.witness]
+    lo_n, hi_n = n_range if n_range else _DEFAULT_RANGE[entry.lhs.witness]
+    ms = [m for m in range(lo_m, hi_m + 1) if m >= floor]
+    ns = [n for n in range(lo_n, hi_n + 1) if n >= floor]
+    skipped_m = [m for m in range(lo_m, hi_m + 1) if m < floor]
+    skipped_n = [n for n in range(lo_n, hi_n + 1) if n < floor]
     if entry.is_binary:
         if skipped_m or skipped_n:
             notices.append(
-                f"{entry.entry_id}: skipping m<{entry.min_m} or n<{entry.min_n} "
+                f"{entry.entry_id}: skipping m<{floor} or n<{floor} "
                 f"(outside the witness range)"
             )
         cells = [(entry.entry_id, m, n) for m in ms for n in ns]
     else:
         if skipped_n:
             notices.append(
-                f"{entry.entry_id}: skipping n<{entry.min_n} (outside the witness range)"
+                f"{entry.entry_id}: skipping n<{floor} (outside the witness range)"
             )
         cells = [(entry.entry_id, None, n) for n in ns]
     if not cells:

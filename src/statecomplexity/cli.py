@@ -11,8 +11,9 @@ Subcommands:
     registry list
 
 Exit codes: 0 on success (and when every verified row matches), 1 when a
-verification row mismatches, 2 on usage or file-parse errors, 3 when a
-construction exceeds its state or element budget (CapacityError).
+verification row mismatches, 2 on usage errors, unreadable files or
+file-parse errors, 3 when a construction exceeds its state or element
+budget (CapacityError).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .automata import (
     quotient_complexity_of_state,
     trim_alphabet,
 )
-from .dfafile import DfaParseError, parse_dfa, render_dfa
+from .dfafile import parse_dfa, render_dfa
 from .operations import boolean, complement, product, reverse, star
 from .bounds import BOOLEAN_BY_NAME, all_match, emit_report, registry, run_sweep
 from .witnesses import WitnessClass, apply_dialect, parse_dialect
@@ -114,8 +115,10 @@ def _cmd_measure(args: argparse.Namespace) -> int:
 
 def _parse_range(text: str) -> tuple[int, int]:
     if ".." in text:
-        lo, hi = text.split("..", 1)
-        return int(lo), int(hi)
+        lo, hi = (int(part) for part in text.split("..", 1))
+        if lo > hi:
+            raise ValueError(f"empty range {text!r}")
+        return lo, hi
     value = int(text)
     return value, value
 
@@ -199,13 +202,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except DfaParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, KeyError, UsageError) as exc:
+    except (OSError, ValueError, KeyError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CapacityError as exc:

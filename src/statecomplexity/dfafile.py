@@ -51,6 +51,7 @@ def parse_dfa(text: str) -> Dfa:
     alphabet: tuple[str, ...] | None = None
     initial = None
     finals: frozenset[int] | None = None
+    header_lines: dict[str, int] = {}
     rows: dict[str, tuple[int, ...]] = {}
     row_lines: dict[str, int] = {}
 
@@ -60,6 +61,12 @@ def parse_dfa(text: str) -> Dfa:
             continue
         fields = line.split()
         keyword, args = fields[0], fields[1:]
+        if keyword in header_lines:
+            raise DfaParseError(
+                line_no, f"repeated {keyword!r} line (first on line {header_lines[keyword]})"
+            )
+        if keyword != "row":
+            header_lines[keyword] = line_no
         if keyword == "states":
             if len(args) != 1:
                 raise DfaParseError(line_no, "expected: states <count>")
@@ -88,14 +95,13 @@ def parse_dfa(text: str) -> Dfa:
         else:
             raise DfaParseError(line_no, f"unknown keyword {keyword!r}")
 
-    if state_count is None:
-        raise DfaParseError(0, "missing 'states' line")
-    if alphabet is None:
-        raise DfaParseError(0, "missing 'alphabet' line")
-    if initial is None:
-        raise DfaParseError(0, "missing 'initial' line")
-    if finals is None:
-        raise DfaParseError(0, "missing 'final' line")
+    for keyword in ("states", "alphabet", "initial", "final"):
+        if keyword not in header_lines:
+            raise DfaParseError(0, f"missing {keyword!r} line")
+    if not 0 <= initial < state_count:
+        raise DfaParseError(header_lines["initial"], "initial state out of range")
+    if any(not 0 <= q < state_count for q in finals):
+        raise DfaParseError(header_lines["final"], "final state out of range")
     for letter in alphabet:
         if letter not in rows:
             raise DfaParseError(0, f"missing row for letter {letter!r}")

@@ -96,6 +96,8 @@ def test_empty_atom_is_distinct_from_trivial():
     assert a.state_count == 1 and not a.finals
     with pytest.raises(EmptyAtomError):
         atom_complexity(d, missing)
+    with pytest.raises(EmptyAtomError, match=r"profile \[0\]"):
+        atom_complexity(d, iter(missing))  # a one-shot iterable is named as given
 
 
 def test_atom_counts_of_witnesses():
@@ -185,6 +187,22 @@ def test_formula_rejects_unlisted_profiles():
         atom_formula(WitnessClass.TWO_SIDED_IDEAL, 4, frozenset())
     with pytest.raises(ValueError):
         atom_formula(WitnessClass.REGULAR, 2, frozenset())
+
+
+@pytest.mark.parametrize("profile", [{3}, {5}, {-1}, {0, 7}, {1.0}, {"0"}])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda s: atom_formula(WitnessClass.REGULAR, 3, s),
+        lambda s: atom_dfa(build_regular(3), s),
+        lambda s: atom_exists(build_regular(3), s),
+        lambda s: atom_complexity(build_regular(3), s),
+    ],
+    ids=["atom_formula", "atom_dfa", "atom_exists", "atom_complexity"],
+)
+def test_profiles_naming_no_state_are_rejected(call, profile):
+    with pytest.raises(ValueError, match="not a state 0..2"):
+        call(profile)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])

@@ -156,6 +156,23 @@ def test_missing_file_is_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv", [("measure", "kappa", "{dir}"), ("op", "union", "{dir}", "{dir}")]
+)
+def test_directory_instead_of_file_is_exit_2(tmp_path, capsys, argv):
+    code, stdout, stderr = run_cli(capsys, *(arg.format(dir=tmp_path) for arg in argv))
+    assert code == 2
+    assert stdout == ""
+    assert stderr.startswith("error: ") and len(stderr.splitlines()) == 1
+
+
+def test_verify_empty_range_is_exit_2(capsys):
+    code, stdout, stderr = run_cli(capsys, "verify", "--ids", "REG-KAPPA", "--n", "5..3")
+    assert code == 2
+    assert stdout == ""
+    assert "empty range '5..3'" in stderr
+
+
 def test_verify_matching_subset_exits_zero(capsys):
     code, stdout, _ = run_cli(
         capsys, "verify", "--ids", "REG-PROD-U,REG-KAPPA", "--m", "3..4", "--n", "3..4"

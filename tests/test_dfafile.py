@@ -110,6 +110,24 @@ def test_duplicate_rows_rejected():
         parse_dfa(bad)
 
 
+@pytest.mark.parametrize(
+    "header", ["states 3", "alphabet a b", "initial 1", "final 0"]
+)
+def test_repeated_header_lines_rejected(header):
+    keyword = header.split()[0]
+    with pytest.raises(DfaParseError, match=f"line 7: repeated '{keyword}' line"):
+        parse_dfa(ENDS_IN_B_FILE + header + "\n")
+
+
+@pytest.mark.parametrize(
+    "old, new, line",
+    [("initial 0", "initial 2", 3), ("final 1", "final 1 5", 4), ("final 1", "final -1", 4)],
+)
+def test_out_of_range_header_state_names_its_line(old, new, line):
+    with pytest.raises(DfaParseError, match=f"line {line}: .* state out of range"):
+        parse_dfa(ENDS_IN_B_FILE.replace(old, new))
+
+
 def test_duplicate_letters_rejected():
     bad = ENDS_IN_B_FILE.replace("alphabet a b", "alphabet a a")
     with pytest.raises(DfaParseError, match="duplicate"):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from statecomplexity import (
@@ -16,7 +18,7 @@ def test_registry_ids_are_unique_and_recipes_build():
     table = registry_by_id()
     assert len(table) == len(registry())
     for entry in registry():
-        n = entry.min_n
+        n = entry.lhs.witness.min_n
         entry.lhs.build(n)
         if entry.rhs is not None:
             entry.rhs.build(n)
@@ -36,6 +38,55 @@ def test_expected_values_quoted_in_the_tables():
     assert table["LID-PROD-R"].expected(4, 4) == 7
     assert table["RID-PROD-U"].expected(3, 3) == 10
     assert table["LID-BOOL-U-DIFF"].expected(4, 4) == 20
+
+
+# Every distinct formula text of the registry, evaluated by hand at m=5, n=7.
+FORMULAS_AT_5_7 = {
+    "n": 7,
+    "n + 1": 8,
+    "n^n": 823543,
+    "n^(n-1)": 117649,
+    "n^(n-1) + n - 1": 117655,
+    "n^(n-2) + (n-2)*2^(n-2) + 1": 16807 + 160 + 1,
+    "2^n": 128,
+    "2^(n-1)": 64,
+    "2^(n-1) + 1": 65,
+    "2^(n-1) + 2^(n-2)": 96,
+    "m*2^n - 2^(n-1)": 576,
+    "m*2^n + 2^(n-1)": 704,
+    "m + 2^(n-2)": 37,
+    "m + 2^(n-2) + 2^(n-1) + 1": 102,
+    "m + n - 1": 11,
+    "m + 2n": 19,
+    "m*n": 35,
+    "m*n + 1": 36,
+    "m*n + m": 40,
+    "m*n + n": 42,
+    "m*n + m + 1": 41,
+    "m*n + n + 1": 43,
+    "m*n + m + n": 47,
+    "m*n - (m-1)": 31,
+    "m*n - (m+n-2)": 25,
+    "(m+1)*(n+1)": 48,
+}
+
+
+def test_every_formula_text_evaluates_to_its_hand_value():
+    entries = [e for e in registry() if e.operation != "atoms"]
+    assert {e.formula_text for e in entries} == set(FORMULAS_AT_5_7)
+    for entry in entries:
+        assert entry.expected(5, 7) == FORMULAS_AT_5_7[entry.formula_text], entry.entry_id
+
+
+@pytest.mark.parametrize(
+    "text", ["__import__('os')", "m/n", "1.5*n", "k + 1", "per-profile closed forms"]
+)
+def test_expected_rejects_text_outside_the_grammar(text):
+    atoms_entry = registry_by_id()["REG-ATOMS"]
+    assert atoms_entry.formula_text == "per-profile closed forms"
+    entry = dataclasses.replace(atoms_entry, formula_text=text)
+    with pytest.raises(ValueError):
+        entry.expected(5, 7)
 
 
 def test_sweep_of_one_boolean_entry():

@@ -19,13 +19,14 @@ from statecomplexity import (
 )
 
 # The transition semigroup collects the transformations of all non-empty
-# words. For the three-letter regular witness it is the full n^n monoid:
+# words. For the three-letter regular witness it is the full n^n monoid.
+# Each element is bytes whose entry q is the image of state q:
 d = apply_dialect(build_regular(3), parse_dialect("a,b,c"))
 closure = transition_semigroup(d, with_words=True)
 print("semigroup size of the 3-state witness:", len(closure), "= 3^3")
 some = sorted(closure.generator_words.items(), key=lambda kv: (len(kv[1]), kv[1]))[:5]
 for t, w in some:
-    print(f"  shortest word {w!r} induces {t}")
+    print(f"  shortest word {w!r} induces {tuple(t)}")
 
 print("\nsyntactic semigroup sizes by class:")
 print("  regular n=4:   ", syntactic_semigroup_size(apply_dialect(build_regular(4), parse_dialect("a,b,c"))), "= 4^4")

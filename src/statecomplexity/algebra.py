@@ -15,7 +15,9 @@ MAX_SEMIGROUP_ELEMENTS = 10**7
 class SemigroupClosure:
     """All transformations induced by non-empty words, with sample words.
 
-    Each element is a tuple of ints whose entry q is the image of state q.
+    Each element is `bytes` of length n whose entry q is the image of
+    state q, so `element[q]` is an int as in a DFA row; compare with
+    `bytes(row)`, not with a tuple.
 
     `generator_words` maps each element to one shortest word (ties broken
     in alphabet order) inducing it, or is None unless `with_words` was
@@ -23,8 +25,8 @@ class SemigroupClosure:
     the letters, not the monoid.
     """
 
-    elements: frozenset[tuple[int, ...]]
-    generator_words: Optional[dict[tuple[int, ...], str]]
+    elements: frozenset[bytes]
+    generator_words: Optional[dict[bytes, str]]
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -35,15 +37,21 @@ def transition_semigroup(d: Dfa, with_words: bool = False) -> SemigroupClosure:
 
     Breadth-first over words in length-then-alphabet order, so the first
     word reaching an element is a shortest one. Elements compose in
-    diagrammatic order: t followed by the letter row g sends q to g[t[q]].
-    `Dfa` checked the rows, and composing total maps of {0..n-1} gives
-    another, so no element is checked again.
+    diagrammatic order: t followed by the letter row g sends q to g[t[q]],
+    which is `t.translate(g)` once g is padded to a 256-byte table. That
+    caps the closure at 256 states. `Dfa` checked the rows, and composing
+    total maps of {0..n-1} gives another, so no element is checked again.
     """
-    words: dict[tuple[int, ...], str] = {}
-    seen: set[tuple[int, ...]] = set()
-    queue: deque[tuple[int, ...]] = deque()
-    generators = list(zip(d.alphabet, d.delta))
-    for letter, t in generators:
+    n = d.state_count
+    if n > 256:
+        raise CapacityError(f"semigroup closure handles at most 256 states, not {n}")
+    words: dict[bytes, str] = {}
+    seen: set[bytes] = set()
+    queue: deque[bytes] = deque()
+    tables = [bytes(row) + bytes(256 - n) for row in d.delta]
+    generators = list(zip(d.alphabet, tables))
+    for letter, g in generators:
+        t = g[:n]
         if t not in seen:
             seen.add(t)
             queue.append(t)
@@ -52,7 +60,7 @@ def transition_semigroup(d: Dfa, with_words: bool = False) -> SemigroupClosure:
     while queue:
         t = queue.popleft()
         for letter, g in generators:
-            composed = tuple(map(g.__getitem__, t))
+            composed = t.translate(g)
             if composed in seen:
                 continue
             if len(seen) >= MAX_SEMIGROUP_ELEMENTS:

@@ -10,6 +10,7 @@ language.
 
 from __future__ import annotations
 
+from functools import cache
 from math import comb
 from typing import Iterable
 
@@ -36,9 +37,10 @@ def _pair_automaton(d: Dfa, s: Iterable[int]) -> Dfa:
     X and Y are bitmasks. A pair with overlapping halves can never separate
     again, so all such pairs collapse into one dead key up front.
     Accepting pairs are those with X inside the finals and Y disjoint from
-    them.
+    them. The walk meets each subset in many pairs but there are at most
+    2^n subsets, so their images are memoized for the length of this call.
     """
-    image = subset_step([[1 << q for q in row] for row in d.delta])
+    image = cache(subset_step([[1 << q for q in row] for row in d.delta]))
     dead = None
     finals = bits(d.finals)
 

@@ -99,6 +99,14 @@ class BoundEntry:
         return self.rhs is not None
 
     def expected(self, m: Optional[int], n: int) -> int:
+        """The formula text at (m, n); m is ignored by unary entries.
+
+        Cells below the witness floor are refused with ValueError: the
+        stream has no witness there, so the text states no bound.
+        """
+        floor = self.lhs.witness.min_n
+        if n < floor or (self.is_binary and (m is None or m < floor)):
+            raise ValueError(f"{self.entry_id} is stated for m, n >= {floor}, not m={m}, n={n}")
         return eval(_compile_formula(self.formula_text), {"__builtins__": {}}, {"m": m, "n": n})
 
 

@@ -123,6 +123,13 @@ def _parse_range(text: str) -> tuple[int, int]:
     return value, value
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
+    return value
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
     ids = args.ids.split(",") if args.ids else None
     m_range = _parse_range(args.m) if args.m else None
@@ -186,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--m", default=None, help="range A..B for the left parameter")
     verify.add_argument("--n", default=None, help="range A..B for the right parameter")
     verify.add_argument("--format", choices=("csv", "markdown"), default="csv")
-    verify.add_argument("--jobs", type=int, default=1)
+    verify.add_argument("--jobs", type=_positive_int, default=1, help="worker processes (K >= 1)")
     verify.set_defaults(handler=_cmd_verify)
 
     reg = sub.add_parser("registry", help="inspect the bound registry")

@@ -29,13 +29,13 @@ def test_identity_generator_gives_singleton():
     d = Dfa(4, ("a",), ((0, 1, 2, 3),), 0, frozenset({0}))
     closure = transition_semigroup(d, with_words=True)
     assert len(closure) == 1
-    assert closure.generator_words == {(0, 1, 2, 3): "a"}
+    assert closure.generator_words == {bytes((0, 1, 2, 3)): "a"}
     assert transition_semigroup(d).generator_words is None  # words only on request
 
 
-def pointwise(d: Dfa, word: str) -> tuple[int, ...]:
+def pointwise(d: Dfa, word: str) -> bytes:
     # Independent oracle: run the word from every state, letter by letter.
-    return tuple(d.run(q, word) for q in range(d.state_count))
+    return bytes(d.run(q, word) for q in range(d.state_count))
 
 
 def test_generator_words_are_shortest(rng):
@@ -62,8 +62,8 @@ def test_closure_composes_in_diagrammatic_order():
     # a cycles 0 -> 1 -> 2 -> 0, b sends 2 to 0; "ab" applies a first.
     d = Dfa(3, ("a", "b"), ((1, 2, 0), (0, 1, 0)), 0, frozenset({0}))
     words = transition_semigroup(d, with_words=True).generator_words
-    assert words[(1, 0, 0)] == "ab"
-    assert words[(1, 2, 1)] == "ba"
+    assert words[bytes((1, 0, 0))] == "ab"
+    assert words[bytes((1, 2, 1))] == "ba"
 
 
 def test_identity_letter_is_neutral():
@@ -71,10 +71,10 @@ def test_identity_letter_is_neutral():
     d = Dfa(4, ("a", "b"), ((0, 1, 2, 3), (2, 2, 0, 1)), 0, frozenset({0}))
     closure = transition_semigroup(d, with_words=True)
     assert closure.generator_words == {
-        (0, 1, 2, 3): "a",
-        (2, 2, 0, 1): "b",
-        (0, 0, 2, 2): "bb",
-        (2, 2, 0, 0): "bbb",
+        bytes((0, 1, 2, 3)): "a",
+        bytes((2, 2, 0, 1)): "b",
+        bytes((0, 0, 2, 2)): "bb",
+        bytes((2, 2, 0, 0)): "bbb",
     }
 
 
@@ -82,7 +82,7 @@ def test_elements_are_nonempty_word_transformations():
     # The identity is present only when some non-empty word induces it.
     d = Dfa(2, ("a",), ((1, 0),), 0, frozenset({0}))
     closure = transition_semigroup(d, with_words=True)
-    assert closure.generator_words == {(1, 0): "a", (0, 1): "aa"}  # the swap is an involution
+    assert closure.generator_words == {bytes((1, 0)): "a", bytes((0, 1)): "aa"}  # the swap is an involution
     one_letter = Dfa(2, ("a",), ((1, 1),), 0, frozenset({0}))
     assert len(transition_semigroup(one_letter)) == 1  # no identity anywhere
 
@@ -145,6 +145,35 @@ def test_capacity_guard():
             transition_semigroup(d, with_words=False)
     finally:
         algebra.MAX_SEMIGROUP_ELEMENTS = old
+
+
+def test_closure_matches_tuple_oracle(rng):
+    from conftest import random_dfa, semigroup_oracle
+
+    witnesses = [build_regular(n) for n in (3, 4, 5)]
+    witnesses += [build_right_ideal(n) for n in (3, 4, 5)]
+    witnesses += [build_left_ideal(n) for n in (4, 5)]
+    witnesses += [build_two_sided_ideal(5)]
+    for d in witnesses + [random_dfa(rng, max_states=5) for _ in range(300)]:
+        closure = transition_semigroup(d, with_words=True)
+        oracle = semigroup_oracle(d)
+        assert closure.elements == {bytes(t) for t in oracle}
+        assert closure.generator_words == {bytes(t): w for t, w in oracle.items()}
+
+
+def cycle(n: int) -> Dfa:
+    return Dfa(n, ("a",), (tuple((q + 1) % n for q in range(n)),), 0, frozenset({0}))
+
+
+def test_closure_handles_256_states():
+    closure = transition_semigroup(cycle(256))
+    assert len(closure) == 256
+    assert bytes(range(256)) in closure.elements  # a^256 is the identity
+
+
+def test_closure_refuses_257_states():
+    with pytest.raises(CapacityError, match="256"):
+        transition_semigroup(cycle(257))
 
 
 @pytest.mark.slow

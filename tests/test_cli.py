@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from statecomplexity import boolean, build_regular, parse_dfa, render_dfa
+from statecomplexity import Dfa, boolean, build_regular, parse_dfa, render_dfa
 from statecomplexity.bounds import BOOLEAN_BY_NAME
 from statecomplexity.cli import main
 
@@ -125,6 +125,18 @@ def test_capacity_error_is_exit_3(tmp_path, capsys, monkeypatch):
     assert len(stderr.splitlines()) == 1
 
 
+def test_semigroup_of_257_states_is_exit_3(tmp_path, capsys):
+    # A one-letter cycle with one final state is minimal, so all 257 states
+    # reach the closure, which holds at most 256.
+    cycle = Dfa(257, ("a",), (tuple((q + 1) % 257 for q in range(257)),), 0, frozenset({0}))
+    path = tmp_path / "cycle257.dfa"
+    path.write_text(render_dfa(cycle))
+    code, stdout, stderr = run_cli(capsys, "measure", "semigroup", str(path))
+    assert code == 3
+    assert stdout == ""
+    assert stderr.startswith("error: ") and len(stderr.splitlines()) == 1
+
+
 def test_huge_state_count_needs_no_memory_per_state(tmp_path):
     # A file may declare any number of states; with an empty alphabet only
     # the initial state is reachable, so the measurement must not allocate
@@ -206,6 +218,15 @@ def test_verify_with_jobs(capsys):
     )
     assert code == 0
     assert stdout.count("true") == 4
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_verify_jobs_below_one_is_usage_error(capsys, jobs):
+    with pytest.raises(SystemExit) as err:
+        main(["verify", "--ids", "REG-KAPPA", "--n", "3", "--jobs", jobs])
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--jobs" in captured.err
 
 
 def test_verify_unknown_id(capsys):

@@ -1,8 +1,9 @@
 """Composition of transformations, as the semigroup closure performs it.
 
 A transformation of {0..n-1} is a DFA row: entry q is the image of q.
-The closure composes in diagrammatic order (apply s, then t); these tests
-compare it with a test-local pointwise composition.
+The closure holds each one as `bytes` with the same entries and composes
+in diagrammatic order (apply s, then t); these tests compare it with a
+test-local pointwise composition.
 """
 
 from __future__ import annotations
@@ -19,16 +20,16 @@ def letters_dfa(*rows: tuple[int, ...]) -> Dfa:
     return Dfa(len(rows[0]), tuple("abcd"[: len(rows)]), rows, 0, frozenset())
 
 
-def pointwise_compose(s: tuple[int, ...], t: tuple[int, ...]) -> tuple[int, ...]:
+def pointwise_compose(s: bytes, t: bytes) -> bytes:
     # Independent oracle: apply s then t, state by state.
-    return tuple(t[s[q]] for q in range(len(s)))
+    return bytes(t[s[q]] for q in range(len(s)))
 
 
 def test_transposition_is_involution():
-    swap = (1, 0, 2)
-    assert pointwise_compose(swap, swap) == (0, 1, 2)
-    closure = transition_semigroup(letters_dfa(swap), with_words=True)
-    assert closure.generator_words == {swap: "a", (0, 1, 2): "aa"}
+    swap = bytes((1, 0, 2))
+    assert pointwise_compose(swap, swap) == bytes((0, 1, 2))
+    closure = transition_semigroup(letters_dfa(tuple(swap)), with_words=True)
+    assert closure.generator_words == {swap: "a", bytes((0, 1, 2)): "aa"}
 
 
 @st.composite
@@ -40,12 +41,12 @@ def transformation_pairs(draw):
 
 @given(transformation_pairs())
 def test_compose_matches_pointwise_oracle(pair):
-    s, t = pair
-    d = letters_dfa(s, t)
+    s, t = map(bytes, pair)
+    d = letters_dfa(tuple(s), tuple(t))
     closure = transition_semigroup(d, with_words=True)
     assert pointwise_compose(s, t) in closure.elements
     assert pointwise_compose(t, s) in closure.elements
-    rows = dict(zip(d.alphabet, d.delta))
+    rows = dict(zip(d.alphabet, (s, t)))
     for element, word in closure.generator_words.items():
         # Each element is its word's letters composed pointwise, in order,
         # and composing it with either letter stays inside the closure.

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional
+from typing import AbstractSet, Optional
 
 from .automata import CapacityError, Dfa, trim_alphabet
 
@@ -23,9 +23,13 @@ class SemigroupClosure:
     in alphabet order) inducing it, or is None unless `with_words` was
     set. The empty word is excluded: this is the semigroup generated by
     the letters, not the monoid.
+
+    `elements` is the closure's own set, handed over rather than copied
+    into a frozenset, which would hold two hash tables at the peak. It
+    belongs to the closure and must not be mutated.
     """
 
-    elements: frozenset[bytes]
+    elements: AbstractSet[bytes]
     generator_words: Optional[dict[bytes, str]]
 
     def __len__(self) -> int:
@@ -72,7 +76,7 @@ def transition_semigroup(d: Dfa, with_words: bool = False) -> SemigroupClosure:
             if with_words:
                 words[composed] = words[t] + letter
     return SemigroupClosure(
-        elements=frozenset(seen),
+        elements=seen,
         generator_words=words if with_words else None,
     )
 

@@ -102,10 +102,24 @@ def atom_complexity(d: Dfa, s: Iterable[int]) -> int:
     return a.state_count
 
 
-def _double_sum(n: int, size: int, inner) -> int:
-    return 1 + sum(
-        inner(x, y) for x in range(1, size + 1) for y in range(1, n - size + 1)
-    )
+def _named_values(n: int) -> dict[WitnessClass, dict[frozenset[int], int]]:
+    """The closed forms' named profiles at n and their values, in table order."""
+    full = frozenset(range(n))
+    return {
+        WitnessClass.REGULAR: {frozenset(): 2**n - 1, full: 2**n - 1},
+        WitnessClass.RIGHT_IDEAL: {full: 2 ** (n - 1)},
+        WitnessClass.LEFT_IDEAL: {frozenset(): 2 ** (n - 1), full: n},
+        WitnessClass.TWO_SIDED_IDEAL: {full: n, full - {1}: 2 ** (n - 2) + n - 1},
+    }
+
+
+# Inner term of the double sum over (x, y) for the profiles not named above.
+_INNER = {
+    WitnessClass.REGULAR: lambda n, x, y: comb(n, x) * comb(n - x, y),
+    WitnessClass.RIGHT_IDEAL: lambda n, x, y: comb(n - 1, x - 1) * comb(n - x, y),
+    WitnessClass.LEFT_IDEAL: lambda n, x, y: comb(n - 1, x) * comb(n - 1 - x, y),
+    WitnessClass.TWO_SIDED_IDEAL: lambda n, x, y: comb(n - 2, x - 1) * comb(n - x - 1, y - 1),
+}
 
 
 def atom_formula(witness_class: WitnessClass, n: int, s: Iterable[int]) -> int:
@@ -124,35 +138,17 @@ def atom_formula(witness_class: WitnessClass, n: int, s: Iterable[int]) -> int:
     if n < witness_class.min_n:
         raise ValueError(f"{witness_class.value} witness needs n >= {witness_class.min_n}")
     s = _profile(s, n)
-    full = frozenset(range(n))
+    named = _named_values(n)[witness_class]
+    if s in named:
+        return named[s]
+    if not s:
+        kind = "right" if witness_class is WitnessClass.RIGHT_IDEAL else "two-sided"
+        raise ValueError(f"the empty profile is not an atom of a {kind} ideal")
+    inner = _INNER[witness_class]
     size = len(s)
-    if witness_class is WitnessClass.REGULAR:
-        if s == full or not s:
-            return (1 << n) - 1
-        return _double_sum(n, size, lambda x, y: comb(n, x) * comb(n - x, y))
-    if witness_class is WitnessClass.RIGHT_IDEAL:
-        if s == full:
-            return 1 << (n - 1)
-        if not s:
-            raise ValueError("the empty profile is not an atom of a right ideal")
-        return _double_sum(n, size, lambda x, y: comb(n - 1, x - 1) * comb(n - x, y))
-    if witness_class is WitnessClass.LEFT_IDEAL:
-        if s == full:
-            return n
-        if not s:
-            return 1 << (n - 1)
-        return _double_sum(n, size, lambda x, y: comb(n - 1, x) * comb(n - 1 - x, y))
-    if witness_class is WitnessClass.TWO_SIDED_IDEAL:
-        if s == full:
-            return n
-        if s == full - {1}:
-            return (1 << (n - 2)) + n - 1
-        if not s:
-            raise ValueError("the empty profile is not an atom of a two-sided ideal")
-        return _double_sum(
-            n, size, lambda x, y: comb(n - 2, x - 1) * comb(n - x - 1, y - 1)
-        )
-    raise ValueError(f"unknown witness class {witness_class!r}")
+    return 1 + sum(
+        inner(n, x, y) for x in range(1, size + 1) for y in range(1, n - size + 1)
+    )
 
 
 def explicit_profiles(cls: WitnessClass, n: int) -> list[frozenset[int]]:
@@ -163,11 +159,4 @@ def explicit_profiles(cls: WitnessClass, n: int) -> list[frozenset[int]]:
     state of a two-sided ideal is all of Q_n), and the table's left-ideal
     general branch is likewise not met by the witness; see atom_formula.
     """
-    full = frozenset(range(n))
-    if cls is WitnessClass.REGULAR:
-        return [frozenset(), full]
-    if cls is WitnessClass.RIGHT_IDEAL:
-        return [full]
-    if cls is WitnessClass.LEFT_IDEAL:
-        return [frozenset(), full]
-    return [full, full - {1}]
+    return list(_named_values(n)[cls])

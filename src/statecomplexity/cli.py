@@ -33,10 +33,8 @@ from .automata import (
 )
 from .dfafile import parse_dfa, render_dfa
 from .operations import boolean, complement, product, reverse, star
-from .bounds import BOOLEAN_BY_NAME, all_match, emit_report, registry, run_sweep
-from .witnesses import WitnessClass, apply_dialect, parse_dialect
-
-_CLASS_BY_NAME = {cls.value: cls for cls in WitnessClass}
+from .bounds import BOOLEAN_BY_NAME, WitnessRecipe, all_match, emit_report, registry, run_sweep
+from .witnesses import WitnessClass
 
 _BINARY_OPS = ("product", *BOOLEAN_BY_NAME)
 _OP_NAMES = (*_BINARY_OPS, "star", "reverse", "complement")
@@ -56,10 +54,7 @@ def _write_text(path: Optional[str], text: str) -> None:
 
 
 def _cmd_witness(args: argparse.Namespace) -> int:
-    cls = _CLASS_BY_NAME[args.witness_class]
-    d = cls.build(args.n)
-    if args.dialect:
-        d = apply_dialect(d, parse_dialect(args.dialect))
+    d = WitnessRecipe(WitnessClass(args.witness_class), args.dialect).build(args.n)
     _write_text(args.output, render_dfa(d))
     return 0
 
@@ -166,7 +161,7 @@ def build_parser() -> argparse.ArgumentParser:
     witness = sub.add_parser("witness", help="generate witness DFAs")
     witness_sub = witness.add_subparsers(dest="witness_command", required=True)
     gen = witness_sub.add_parser("gen", help="write a witness DFA file")
-    gen.add_argument("witness_class", choices=sorted(_CLASS_BY_NAME))
+    gen.add_argument("witness_class", choices=sorted(c.value for c in WitnessClass))
     gen.add_argument("n", type=int)
     gen.add_argument("--dialect", default="", help='partial permutation such as "a,b,-,c"')
     gen.add_argument("-o", "--output", default=None, help="output file (default stdout)")

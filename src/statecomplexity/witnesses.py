@@ -11,39 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
+from string import ascii_lowercase
 from typing import Iterable, Optional
 
 from .automata import Dfa, make_alphabet
 
 UNDEFINED = None  # dialect target for a dropped letter
-
-
-class WitnessClass(Enum):
-    REGULAR = "regular"
-    RIGHT_IDEAL = "right"
-    LEFT_IDEAL = "left"
-    TWO_SIDED_IDEAL = "twosided"
-
-    @property
-    def min_n(self) -> int:
-        return {
-            WitnessClass.REGULAR: 3,
-            WitnessClass.RIGHT_IDEAL: 3,
-            WitnessClass.LEFT_IDEAL: 4,
-            WitnessClass.TWO_SIDED_IDEAL: 5,
-        }[self]
-
-    @property
-    def canonical_alphabet(self) -> tuple[str, ...]:
-        return {
-            WitnessClass.REGULAR: ("a", "b", "c", "d"),
-            WitnessClass.RIGHT_IDEAL: ("a", "b", "c", "d", "e"),
-            WitnessClass.LEFT_IDEAL: ("a", "b", "c", "d", "e"),
-            WitnessClass.TWO_SIDED_IDEAL: ("a", "b", "c", "d", "e", "f"),
-        }[self]
-
-    def build(self, n: int) -> Dfa:
-        return _BUILDERS[self](n)
 
 
 def _identity(n: int) -> tuple[int, ...]:
@@ -72,92 +45,77 @@ def _point_map(n: int, source: int, target: int) -> tuple[int, ...]:
     return _constant(n, target, domain=(source,))
 
 
-def build_regular(n: int) -> Dfa:
-    """n-state regular witness over {a,b,c,d}.
+class WitnessClass(Enum):
+    REGULAR = "regular"
+    RIGHT_IDEAL = "right"
+    LEFT_IDEAL = "left"
+    TWO_SIDED_IDEAL = "twosided"
 
-    a cycles all states, b swaps 0 and 1, c sends n-1 back to 0, d is the
-    identity; state n-1 is the only final state.
-    """
-    if n < 3:
-        raise ValueError(f"regular witness needs n >= 3, got {n}")
-    return Dfa(
-        state_count=n,
-        alphabet=("a", "b", "c", "d"),
-        delta=(
-            _cycle(n, range(n)),
-            _cycle(n, (0, 1)),
-            _point_map(n, n - 1, 0),
-            _identity(n),
-        ),
-        initial=0,
-        finals=frozenset({n - 1}),
-    )
+    @property
+    def min_n(self) -> int:
+        return _STREAMS[self][1]
 
+    @property
+    def canonical_alphabet(self) -> tuple[str, ...]:
+        return self.build(self.min_n).alphabet
 
-def build_right_ideal(n: int) -> Dfa:
-    """n-state right-ideal witness over {a,b,c,d,e}; state n-1 is absorbing."""
-    if n < 3:
-        raise ValueError(f"right-ideal witness needs n >= 3, got {n}")
-    return Dfa(
-        state_count=n,
-        alphabet=("a", "b", "c", "d", "e"),
-        delta=(
-            _cycle(n, range(n - 1)),
-            _cycle(n, range(1, n - 1)),
-            _point_map(n, n - 2, 0),
-            _point_map(n, n - 2, n - 1),
-            _identity(n),
-        ),
-        initial=0,
-        finals=frozenset({n - 1}),
-    )
+    def build(self, n: int) -> Dfa:
+        """The n-state witness: letters a, b, c, ... in row order, state 0
+        initial and state n-1 the only final state."""
+        name, floor, letter_rows = _STREAMS[self]
+        if n < floor:
+            raise ValueError(f"{name} witness needs n >= {floor}, got {n}")
+        delta = letter_rows(n)
+        return Dfa(
+            state_count=n,
+            alphabet=tuple(ascii_lowercase[: len(delta)]),
+            delta=delta,
+            initial=0,
+            finals=frozenset({n - 1}),
+        )
 
 
-def build_left_ideal(n: int) -> Dfa:
-    """n-state left-ideal witness over {a,b,c,d,e}; state 0 waits for e."""
-    if n < 4:
-        raise ValueError(f"left-ideal witness needs n >= 4, got {n}")
-    return Dfa(
-        state_count=n,
-        alphabet=("a", "b", "c", "d", "e"),
-        delta=(
-            _cycle(n, range(1, n)),
-            _cycle(n, (1, 2)),
-            _point_map(n, n - 1, 1),
-            _point_map(n, n - 1, 0),
-            _constant(n, 1),
-        ),
-        initial=0,
-        finals=frozenset({n - 1}),
-    )
-
-
-def build_two_sided_ideal(n: int) -> Dfa:
-    """n-state two-sided-ideal witness over {a,b,c,d,e,f}; n-1 is absorbing."""
-    if n < 5:
-        raise ValueError(f"two-sided-ideal witness needs n >= 5, got {n}")
-    return Dfa(
-        state_count=n,
-        alphabet=("a", "b", "c", "d", "e", "f"),
-        delta=(
-            _cycle(n, range(1, n - 1)),
-            _cycle(n, (1, 2)),
-            _point_map(n, n - 2, 1),
-            _point_map(n, n - 2, 0),
-            _constant(n, 1, domain=range(n - 1)),
-            _point_map(n, 1, n - 1),
-        ),
-        initial=0,
-        finals=frozenset({n - 1}),
-    )
-
-
-_BUILDERS = {
-    WitnessClass.REGULAR: build_regular,
-    WitnessClass.RIGHT_IDEAL: build_right_ideal,
-    WitnessClass.LEFT_IDEAL: build_left_ideal,
-    WitnessClass.TWO_SIDED_IDEAL: build_two_sided_ideal,
+# One row per stream: the name in error messages, the floor, and the
+# letter rows at n.
+_STREAMS = {
+    # a cycles all states, b swaps 0 and 1, c sends n-1 back to 0, d is the identity.
+    WitnessClass.REGULAR: ("regular", 3, lambda n: (
+        _cycle(n, range(n)),
+        _cycle(n, (0, 1)),
+        _point_map(n, n - 1, 0),
+        _identity(n),
+    )),
+    # State n-1 is absorbing.
+    WitnessClass.RIGHT_IDEAL: ("right-ideal", 3, lambda n: (
+        _cycle(n, range(n - 1)),
+        _cycle(n, range(1, n - 1)),
+        _point_map(n, n - 2, 0),
+        _point_map(n, n - 2, n - 1),
+        _identity(n),
+    )),
+    # State 0 waits for e.
+    WitnessClass.LEFT_IDEAL: ("left-ideal", 4, lambda n: (
+        _cycle(n, range(1, n)),
+        _cycle(n, (1, 2)),
+        _point_map(n, n - 1, 1),
+        _point_map(n, n - 1, 0),
+        _constant(n, 1),
+    )),
+    # State n-1 is absorbing.
+    WitnessClass.TWO_SIDED_IDEAL: ("two-sided-ideal", 5, lambda n: (
+        _cycle(n, range(1, n - 1)),
+        _cycle(n, (1, 2)),
+        _point_map(n, n - 2, 1),
+        _point_map(n, n - 2, 0),
+        _constant(n, 1, domain=range(n - 1)),
+        _point_map(n, 1, n - 1),
+    )),
 }
+
+build_regular = WitnessClass.REGULAR.build
+build_right_ideal = WitnessClass.RIGHT_IDEAL.build
+build_left_ideal = WitnessClass.LEFT_IDEAL.build
+build_two_sided_ideal = WitnessClass.TWO_SIDED_IDEAL.build
 
 
 @dataclass(frozen=True)
@@ -175,12 +133,9 @@ class DialectSpec:
         defined = [t for t in self.targets if t is not UNDEFINED]
         make_alphabet(defined)
 
-    def __str__(self) -> str:
-        return ",".join("-" if t is UNDEFINED else t for t in self.targets)
-
     @staticmethod
     def identity(size: int) -> "DialectSpec":
-        return DialectSpec(tuple("abcdefghijklmnopqrstuvwxyz"[:size]))
+        return DialectSpec(tuple(ascii_lowercase[:size]))
 
 
 def parse_dialect(text: str) -> DialectSpec:

@@ -21,6 +21,7 @@ from statecomplexity import (
     reverse,
     trim_alphabet,
 )
+from statecomplexity.atoms import explicit_profiles
 
 from conftest import brzozowski_minimize, random_dfa, random_word, word_in
 from test_acceptance import BUILDERS, atom_form
@@ -178,6 +179,16 @@ def test_formula_values_from_the_tables():
     assert atom_formula(WitnessClass.LEFT_IDEAL, 4, frozenset(range(4))) == 4
     assert atom_formula(WitnessClass.TWO_SIDED_IDEAL, 5, frozenset({0, 2, 3, 4})) == 12
     assert atom_formula(WitnessClass.RIGHT_IDEAL, 4, frozenset(range(4))) == 8
+
+
+def test_explicit_profiles_are_the_named_table_entries():
+    assert explicit_profiles(WitnessClass.REGULAR, 3) == [frozenset(), frozenset({0, 1, 2})]
+    assert explicit_profiles(WitnessClass.RIGHT_IDEAL, 4) == [frozenset({0, 1, 2, 3})]
+    assert explicit_profiles(WitnessClass.LEFT_IDEAL, 4) == [frozenset(), frozenset({0, 1, 2, 3})]
+    assert explicit_profiles(WitnessClass.TWO_SIDED_IDEAL, 5) == [
+        frozenset({0, 1, 2, 3, 4}),
+        frozenset({0, 2, 3, 4}),
+    ]
 
 
 def test_formula_rejects_unlisted_profiles():

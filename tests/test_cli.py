@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from statecomplexity import Dfa, boolean, build_regular, parse_dfa, render_dfa
@@ -240,6 +242,14 @@ def test_registry_list(capsys):
     lines = stdout.strip().splitlines()
     assert len(lines) == len(__import__("statecomplexity").registry())
     assert any(line.startswith("REG-PROD-U") and "m*2^n + 2^(n-1)" in line for line in lines)
+
+
+def test_registry_list_keeps_every_documented_row(capsys):
+    # A documented row is never edited; new rows may be added.
+    documented = (Path(__file__).parent / "registry_list.txt").read_text().splitlines()
+    _, stdout, _ = run_cli(capsys, "registry", "list")
+    listed = set(stdout.splitlines())
+    assert [line for line in documented if line not in listed] == []
 
 
 def test_usage_error_exits_2(capsys):

@@ -74,18 +74,34 @@ def test_two_sided_ideal_n5_rows():
 
 
 @pytest.mark.parametrize(
-    "builder,min_n",
+    "builder,min_n,cls,name",
     [
-        (build_regular, 3),
-        (build_right_ideal, 3),
-        (build_left_ideal, 4),
-        (build_two_sided_ideal, 5),
+        pytest.param(build_regular, 3, WitnessClass.REGULAR, "regular", id="build_regular-3"),
+        pytest.param(
+            build_right_ideal, 3, WitnessClass.RIGHT_IDEAL, "right-ideal", id="build_right_ideal-3"
+        ),
+        pytest.param(
+            build_left_ideal, 4, WitnessClass.LEFT_IDEAL, "left-ideal", id="build_left_ideal-4"
+        ),
+        pytest.param(
+            build_two_sided_ideal,
+            5,
+            WitnessClass.TWO_SIDED_IDEAL,
+            "two-sided-ideal",
+            id="build_two_sided_ideal-5",
+        ),
     ],
 )
-def test_range_errors(builder, min_n):
+def test_range_errors(builder, min_n, cls, name):
     with pytest.raises(ValueError):
         builder(min_n - 1)
     builder(min_n)  # boundary value is fine
+    assert cls.min_n == min_n
+    with pytest.raises(ValueError) as err:
+        cls.build(min_n - 1)
+    assert str(err.value) == f"{name} witness needs n >= {min_n}, got {min_n - 1}"
+    for n in range(min_n, min_n + 4):
+        assert builder(n) == cls.build(n)
 
 
 @pytest.mark.parametrize(

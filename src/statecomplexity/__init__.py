@@ -10,6 +10,7 @@ into an executable regression suite (see the `verify` CLI subcommand).
 from .algebra import SemigroupClosure, syntactic_semigroup_size, transition_semigroup
 from .atoms import (
     EmptyAtomError,
+    atom_complexities,
     atom_complexity,
     atom_dfa,
     atom_exists,

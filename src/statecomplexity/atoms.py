@@ -14,7 +14,7 @@ from functools import cache
 from math import comb
 from typing import Iterable
 
-from .automata import Dfa, bits, determinize, minimize, reversal_step, subset_step, walk
+from .automata import Dfa, bits, minimize, nerode_classes, reversal_step, subset_step, walk
 from .witnesses import WitnessClass
 
 
@@ -31,14 +31,17 @@ def _profile(s: Iterable[int], n: int) -> frozenset[int]:
     return s
 
 
-def _pair_automaton(d: Dfa, s: Iterable[int]) -> Dfa:
-    """DFA over (X, Y) pairs tracking the images of S and of its complement.
+def _pair_automaton(d: Dfa, profiles: Iterable[Iterable[int]]) -> Dfa:
+    """DFA over (X, Y) pairs tracking the images of each S and of its complement.
 
-    X and Y are bitmasks. A pair with overlapping halves can never separate
-    again, so all such pairs collapse into one dead key up front.
-    Accepting pairs are those with X inside the finals and Y disjoint from
-    them. The walk meets each subset in many pairs but there are at most
-    2^n subsets, so their images are memoized for the length of this call.
+    X and Y are bitmasks. State i is the start pair (S, Q minus S) of the
+    i-th distinct profile, and the walk goes on from all of them at once,
+    so the profiles of one DFA share every pair they reach. A pair with
+    overlapping halves can never separate again, so all such pairs
+    collapse into one dead key up front. Accepting pairs are those with X
+    inside the finals and Y disjoint from them. The walk meets each subset
+    in many pairs but there are at most 2^n subsets, so their images are
+    memoized for the length of this call.
     """
     image = cache(subset_step([[1 << q for q in row] for row in d.delta]))
     dead = None
@@ -50,11 +53,20 @@ def _pair_automaton(d: Dfa, s: Iterable[int]) -> Dfa:
         x, y = pair
         return [dead if nx & ny else (nx, ny) for nx, ny in zip(image(x), image(y))]
 
-    def accepting(pair) -> bool:
-        return pair is not dead and not pair[0] & ~finals and not pair[1] & finals
-
-    x = bits(_profile(s, d.state_count))
-    return determinize(d.alphabet, (x, ((1 << d.state_count) - 1) & ~x), step, accepting)
+    full = (1 << d.state_count) - 1
+    starts = (bits(_profile(s, d.state_count)) for s in profiles)
+    keys, rows = walk(len(d.alphabet), ((x, full & ~x) for x in starts), step)
+    return Dfa(
+        state_count=len(keys),
+        alphabet=d.alphabet,
+        delta=tuple(map(tuple, rows)),
+        initial=0,
+        finals=frozenset(
+            i
+            for i, pair in enumerate(keys)
+            if pair is not dead and not pair[0] & ~finals and not pair[1] & finals
+        ),
+    )
 
 
 def atom_dfa(d: Dfa, s: Iterable[int]) -> Dfa:
@@ -65,13 +77,37 @@ def atom_dfa(d: Dfa, s: Iterable[int]) -> Dfa:
     read as languages over the same alphabet as the input. An atom with no
     words comes back as the one-state dead DFA.
     """
-    return minimize(_pair_automaton(d, s))
+    return minimize(_pair_automaton(d, [s]))
 
 
 def atom_exists(d: Dfa, s: Iterable[int]) -> bool:
     """True iff some word has exactly the profile S."""
-    pairs = _pair_automaton(d, s)
-    return bool(pairs.finals)  # every state of the pair automaton is reachable
+    pairs = _pair_automaton(d, [s])
+    return bool(pairs.finals)  # every state of a one-start pair walk is reachable
+
+
+def atom_complexities(d: Dfa, profiles: Iterable[Iterable[int]]) -> list[int]:
+    """The state count of `atom_dfa(d, s)` for each profile s, in order.
+
+    One pair walk from every profile's start pair and one refinement of
+    it serve all the profiles. A pair's language does not depend on which
+    start reached it, so the classes reachable from the start pair of S
+    are exactly the states of the minimal DFA of S's atom, and their
+    number equals `atom_dfa(d, s).state_count`. An empty atom counts 1,
+    like the one-state dead DFA.
+    """
+    profiles = [_profile(s, d.state_count) for s in profiles]
+    if not profiles:
+        return []
+    pairs = _pair_automaton(d, profiles)
+    cls = nerode_classes(pairs)
+    member = {c: q for q, c in enumerate(cls)}  # any member gives its class's successors
+    successors = {c: [cls[row[q]] for row in pairs.delta] for c, q in member.items()}
+    start = {s: number for number, s in enumerate(dict.fromkeys(profiles))}
+    return [
+        len(walk(len(d.alphabet), (cls[start[s]],), successors.__getitem__)[0])
+        for s in profiles
+    ]
 
 
 def atoms(d: Dfa) -> list[frozenset[int]]:
@@ -83,7 +119,7 @@ def atoms(d: Dfa) -> list[frozenset[int]]:
     reversal's subset walk, which keeps the enumeration proportional to
     the number of atoms rather than to 2^n.
     """
-    profiles, _ = walk(len(d.alphabet), bits(d.finals), reversal_step(d))
+    profiles, _ = walk(len(d.alphabet), (bits(d.finals),), reversal_step(d))
     return [
         frozenset(q for q in range(d.state_count) if mask >> q & 1) for mask in sorted(profiles)
     ]
@@ -100,6 +136,11 @@ def atom_complexity(d: Dfa, s: Iterable[int]) -> int:
     if not a.finals:
         raise EmptyAtomError(f"no word has profile {sorted(s)!r}")
     return a.state_count
+
+
+def _require_witness(witness_class: WitnessClass, n: int) -> None:
+    if n < witness_class.min_n:
+        raise ValueError(f"{witness_class.value} witness needs n >= {witness_class.min_n}")
 
 
 def _named_values(n: int) -> dict[WitnessClass, dict[frozenset[int], int]]:
@@ -135,8 +176,7 @@ def atom_formula(witness_class: WitnessClass, n: int, s: Iterable[int]) -> int:
     initial state without being Q_n, so no word has it; the value belongs
     to Q_n minus {0}.
     """
-    if n < witness_class.min_n:
-        raise ValueError(f"{witness_class.value} witness needs n >= {witness_class.min_n}")
+    _require_witness(witness_class, n)
     s = _profile(s, n)
     named = _named_values(n)[witness_class]
     if s in named:
@@ -158,5 +198,8 @@ def explicit_profiles(cls: WitnessClass, n: int) -> list[frozenset[int]]:
     {1} is one no atom of the witness has (a profile holding the initial
     state of a two-sided ideal is all of Q_n), and the table's left-ideal
     general branch is likewise not met by the witness; see atom_formula.
+    Below the witness floor there is no witness, so this raises
+    ValueError as atom_formula does.
     """
+    _require_witness(cls, n)
     return list(_named_values(n)[cls])

@@ -100,17 +100,20 @@ def accepts(d: Dfa, word: str) -> bool:
 
 
 def walk(
-    letter_count: int, start: Hashable, step: Callable[[Hashable], Sequence[Hashable]]
+    letter_count: int,
+    starts: Iterable[Hashable],
+    step: Callable[[Hashable], Sequence[Hashable]],
 ) -> tuple[list, list[list[int]]]:
     """Accessible breadth-first walk over hashable keys.
 
     `step(key)` lists the successor of `key` on each letter, in alphabet
-    order. Keys are numbered in the order the walk first reaches them, so
-    the numbering is canonical. Returns the keys in that order and, per
+    order. The distinct start keys are numbered first, in the order given,
+    and every other key in the order the walk first reaches it, so the
+    numbering is canonical. Returns the keys in that order and, per
     letter, the row mapping each key's number to its successor's number.
     """
-    index = {start: 0}
-    keys = [start]
+    keys = list(dict.fromkeys(starts))
+    index = {key: number for number, key in enumerate(keys)}
     rows: list[list[int]] = [[] for _ in range(letter_count)]
     for key in keys:  # keys grows while it is read: it is the BFS queue
         for row, nxt in zip(rows, step(key)):
@@ -138,7 +141,7 @@ def determinize(
     bitmasks (see `subset_step`), pairs of states, or minimize's classes.
     A key is a final state iff `accepting(key)`.
     """
-    keys, rows = walk(len(alphabet), start, step)
+    keys, rows = walk(len(alphabet), (start,), step)
     return Dfa(
         state_count=len(keys),
         alphabet=alphabet,
@@ -186,19 +189,13 @@ def reversal_step(d: Dfa) -> Callable[[int], list[int]]:
     return subset_step(masks)
 
 
-def minimize(d: Dfa) -> Dfa:
-    """Minimal DFA for the same language over the same alphabet.
+def nerode_classes(d: Dfa) -> list[int]:
+    """Entry q is the number of the class of states with q's language.
 
-    Partition refinement in the Moore style over every state: states
-    start split by finality and are repeatedly re-bucketed on the classes
-    of their successors until stable. The quotient automaton is then
-    walked from the initial class, which leaves out unreachable classes,
-    so two equal languages over equal alphabets yield identical (not
-    merely isomorphic) results.
+    Partition refinement in the Moore style over every state, reachable
+    or not: states start split by finality and are repeatedly re-bucketed
+    on the classes of their successors until stable.
     """
-    if not d.alphabet:
-        # Nothing to refine; a huge declared state count allocates nothing.
-        return Dfa(1, (), (), 0, frozenset({0}) if d.initial in d.finals else frozenset())
     cls = [int(q in d.finals) for q in range(d.state_count)]
     count = len(set(cls))
     while True:
@@ -206,8 +203,21 @@ def minimize(d: Dfa) -> Dfa:
         signatures = zip(cls, *([cls[j] for j in row] for row in d.delta))
         nxt = [buckets.setdefault(sig, len(buckets)) for sig in signatures]
         if len(buckets) == count:
-            break
+            return cls
         cls, count = nxt, len(buckets)
+
+
+def minimize(d: Dfa) -> Dfa:
+    """Minimal DFA for the same language over the same alphabet.
+
+    The quotient automaton of `nerode_classes` is walked from the initial
+    class, which leaves out unreachable classes, so two equal languages
+    over equal alphabets yield identical (not merely isomorphic) results.
+    """
+    if not d.alphabet:
+        # Nothing to refine; a huge declared state count allocates nothing.
+        return Dfa(1, (), (), 0, frozenset({0}) if d.initial in d.finals else frozenset())
+    cls = nerode_classes(d)
     rep: dict[int, int] = {}
     for q, c in enumerate(cls):
         rep.setdefault(c, q)

@@ -23,7 +23,7 @@ import sys
 from typing import Optional
 
 from .algebra import syntactic_semigroup_size
-from .atoms import atom_dfa, atoms
+from .atoms import atom_complexities, atoms
 from .automata import (
     CapacityError,
     Dfa,
@@ -102,9 +102,9 @@ def _cmd_measure(args: argparse.Namespace) -> int:
         print(f"atoms={len(realized)}")
         return 0
     # atom-complexities: one line per realized profile of the minimal DFA
-    for s in realized:
+    for s, kappa in zip(realized, atom_complexities(minimal, realized)):
         label = "{" + ",".join(str(q) for q in sorted(s)) + "}"
-        print(f"S={label}: kappa={atom_dfa(minimal, s).state_count}")
+        print(f"S={label}: kappa={kappa}")
     return 0
 
 

@@ -7,6 +7,7 @@ from statecomplexity import (
     EmptyAtomError,
     WitnessClass,
     apply_dialect,
+    atom_complexities,
     atom_complexity,
     atom_dfa,
     atom_exists,
@@ -18,6 +19,7 @@ from statecomplexity import (
     build_two_sided_ideal,
     minimize,
     parse_dialect,
+    registry_by_id,
     reverse,
     trim_alphabet,
 )
@@ -135,6 +137,43 @@ def test_pair_construction_matches_monoid_route_ideals():
         assert atom_dfa(d, s) == atom_dfa_via_monoid(d, s)
 
 
+# --- one shared pair walk for many profiles ----------------------------------------
+
+
+def per_profile_counts(d: Dfa, profiles) -> list[int]:
+    return [atom_dfa(d, s).state_count for s in profiles]
+
+
+def test_shared_walk_counts_match_atom_dfa_on_random_dfas(rng):
+    for _ in range(300):
+        d = trim_alphabet(random_dfa(rng, max_states=6, letters="abc"))
+        profiles = atoms(d) + [frozenset(), frozenset(range(d.state_count))]
+        profiles.append(rng.choice(profiles))
+        rng.shuffle(profiles)
+        assert atom_complexities(d, profiles) == per_profile_counts(d, profiles)
+
+
+@pytest.mark.parametrize("tag", ["REG", "RID", "LID", "TID"])
+def test_shared_walk_counts_match_atom_dfa_on_witnesses(tag):
+    recipe = registry_by_id()[f"{tag}-ATOMS"].lhs
+    for n in range(recipe.witness.min_n, 7):
+        d = recipe.build(n)
+        profiles = atoms(d)
+        assert atom_complexities(d, profiles) == per_profile_counts(d, profiles)
+
+
+def test_shared_walk_edge_cases():
+    assert atom_complexities(reg(3), []) == []
+    tid = build_two_sided_ideal(5)
+    missing = frozenset({0, 2, 3, 4})  # no word has this profile
+    assert not atom_exists(tid, missing)
+    assert atom_complexities(tid, [missing, range(5)]) == [1, 5]
+    empty_alphabet = Dfa(3, (), (), 0, frozenset({0, 2}))
+    profiles = [{0, 2}, {1}, set(), {0, 1, 2}]
+    assert atom_complexities(empty_alphabet, profiles) == [1, 1, 1, 1]
+    assert per_profile_counts(empty_alphabet, profiles) == [1, 1, 1, 1]
+
+
 # --- partition property -----------------------------------------------------------
 
 
@@ -191,6 +230,17 @@ def test_explicit_profiles_are_the_named_table_entries():
     ]
 
 
+@pytest.mark.parametrize("cls", list(WitnessClass))
+def test_explicit_profiles_refuse_below_the_witness_floor(cls):
+    n = cls.min_n - 1
+    with pytest.raises(ValueError) as refused:
+        atom_formula(cls, n, frozenset())
+    with pytest.raises(ValueError) as listed:
+        explicit_profiles(cls, n)
+    assert str(listed.value) == str(refused.value)
+    assert explicit_profiles(cls, cls.min_n)
+
+
 def test_formula_rejects_unlisted_profiles():
     with pytest.raises(ValueError):
         atom_formula(WitnessClass.RIGHT_IDEAL, 4, frozenset())
@@ -208,8 +258,9 @@ def test_formula_rejects_unlisted_profiles():
         lambda s: atom_dfa(build_regular(3), s),
         lambda s: atom_exists(build_regular(3), s),
         lambda s: atom_complexity(build_regular(3), s),
+        lambda s: atom_complexities(build_regular(3), [s]),
     ],
-    ids=["atom_formula", "atom_dfa", "atom_exists", "atom_complexity"],
+    ids=["atom_formula", "atom_dfa", "atom_exists", "atom_complexity", "atom_complexities"],
 )
 def test_profiles_naming_no_state_are_rejected(call, profile):
     with pytest.raises(ValueError, match="not a state 0..2"):

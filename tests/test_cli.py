@@ -4,11 +4,22 @@ from pathlib import Path
 
 import pytest
 
-from statecomplexity import Dfa, boolean, build_regular, parse_dfa, render_dfa
+import random
+
+from statecomplexity import (
+    Dfa,
+    atom_dfa,
+    atoms,
+    boolean,
+    build_regular,
+    parse_dfa,
+    render_dfa,
+    trim_alphabet,
+)
 from statecomplexity.bounds import BOOLEAN_BY_NAME
 from statecomplexity.cli import main
 
-from conftest import fig_ends_in_b, fig_ends_in_c
+from conftest import fig_ends_in_b, fig_ends_in_c, random_dfa
 
 
 def run_cli(capsys, *argv):
@@ -105,6 +116,22 @@ def test_measure_quantities(tmp_path, capsys):
     code, stdout, _ = run_cli(capsys, "measure", "quotients", str(path))
     assert code == 0
     assert stdout.count("kappa=3") == 3
+
+
+def test_measure_atom_complexities_matches_per_profile_atom_dfa(tmp_path, capsys):
+    reg4 = tmp_path / "reg4.dfa"
+    run_cli(capsys, "witness", "gen", "regular", "4", "--dialect", "a,b,c", "-o", str(reg4))
+    rand = tmp_path / "random.dfa"
+    rand.write_text(render_dfa(random_dfa(random.Random(9), max_states=6, letters="abc")))
+    for path in (reg4, rand):
+        minimal = trim_alphabet(parse_dfa(path.read_text()))
+        expected = [
+            "S={" + ",".join(map(str, sorted(s))) + "}: kappa="
+            + str(atom_dfa(minimal, s).state_count)
+            for s in atoms(minimal)
+        ]
+        code, stdout, _ = run_cli(capsys, "measure", "atom-complexities", str(path))
+        assert code == 0 and stdout.splitlines() == expected
 
 
 def test_bad_file_is_exit_2(tmp_path, capsys):

@@ -17,7 +17,7 @@ from statecomplexity import (
     restrict_alphabet,
     trim_alphabet,
 )
-from statecomplexity.automata import bits, reversal_step, subset_step
+from statecomplexity.automata import bits, reversal_step, subset_step, walk
 
 from conftest import (
     brzozowski_minimize,
@@ -112,6 +112,13 @@ def test_determinize_has_no_unreachable_states(rng):
                     reached.add(row[p])
                     frontier.append(row[p])
         assert len(reached) == subset.state_count
+
+
+def test_walk_numbers_its_starts_first_in_order_and_merges_duplicates():
+    keys, rows = walk(1, [5, 2, 5, 0], lambda k: [(k + 1) % 6])
+    assert keys == [5, 2, 0, 3, 1, 4]
+    assert rows == [[2, 3, 4, 5, 1, 0]]
+    assert walk(1, iter([4]), lambda k: [(k + 1) % 6])[0] == [4, 5, 0, 1, 2, 3]
 
 
 def test_determinize_raises_capacity_error(monkeypatch):

@@ -15,7 +15,6 @@ from statecomplexity import (
     boolean,
     build_regular,
     complement,
-    complete_over,
     parse_dialect,
     product,
     render_dfa,
@@ -26,12 +25,13 @@ from statecomplexity import (
 ends_in_b = Dfa(2, ("a", "b"), ((0, 0), (1, 1)), 0, frozenset({1}))
 ends_in_c = Dfa(2, ("a", "c"), ((0, 0), (1, 1)), 0, frozenset({1}))
 
-# Boolean operations complete both operands over the union alphabet by
-# adding a sink, then build the direct product. Completion itself:
-print("ends_in_b completed over {a,b,c}:")
-print(render_dfa(complete_over(ends_in_b, ("a", "b", "c"))))
-
+# Every operation walks subsets of the operands' states over the union
+# alphabet. A letter that one operand lacks (c for ends_in_b, b for
+# ends_in_c) empties that operand's part of the subset: the word has left
+# its language for good, which the extra states of the union record.
 union = boolean(BooleanOp.UNION, ends_in_b, ends_in_c)
+print("minimal DFA of the union over {a,b,c}:")
+print(render_dfa(union.dfa))
 print("kappa of the union:", union.kappa, "(six states, not four)")
 
 # The regular witness family attains the worst case for every operation.

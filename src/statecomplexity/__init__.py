@@ -21,7 +21,6 @@ from .automata import (
     CapacityError,
     Dfa,
     accepts,
-    complete_over,
     determinize,
     language_alphabet,
     make_alphabet,
@@ -38,7 +37,6 @@ from .operations import (
     OpResult,
     boolean,
     complement,
-    equivalent,
     is_left_ideal,
     is_right_ideal,
     is_two_sided_ideal,

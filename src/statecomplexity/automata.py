@@ -25,7 +25,7 @@ def make_alphabet(letters: Iterable[str]) -> tuple[str, ...]:
     """Validate and freeze an ordered alphabet of distinct letters a-z."""
     seq = tuple(letters)
     for a in seq:
-        if len(a) != 1 or not ("a" <= a <= "z"):
+        if not isinstance(a, str) or len(a) != 1 or not ("a" <= a <= "z"):
             raise ValueError(f"alphabet symbol {a!r} is not a single letter a-z")
     if len(set(seq)) != len(seq):
         raise ValueError(f"alphabet {seq!r} contains duplicate symbols")
@@ -56,8 +56,8 @@ class Dfa:
 
     def __post_init__(self) -> None:
         n = self.state_count
-        if n <= 0:
-            raise ValueError("a complete DFA needs at least one state")
+        if type(n) is not int or n <= 0:
+            raise ValueError(f"state count {n!r} is not a positive int")
         if not (isinstance(self.alphabet, tuple) and isinstance(self.delta, tuple)):
             raise ValueError("alphabet and delta must be tuples")
         if not isinstance(self.finals, frozenset):
@@ -86,6 +86,9 @@ class Dfa:
             raise ValueError(f"letter {letter!r} not in alphabet {self.alphabet!r}") from None
 
     def run(self, q: int, word: str) -> int:
+        """The state that `word` leads to from state q."""
+        if not 0 <= q < self.state_count:
+            raise ValueError(f"state {q!r} out of range 0..{self.state_count - 1}")
         table = dict(zip(self.alphabet, self.delta))
         for letter in word:
             if letter not in table:
@@ -274,38 +277,3 @@ def quotient_complexity_of_state(d: Dfa, q: int) -> int:
         raise ValueError(f"state {q} out of range")
     return quotient_complexity(replace(d, initial=q))
 
-
-def complete_over(d: Dfa, alphabet: Iterable[str]) -> Dfa:
-    """Extend the DFA to a larger alphabet by adding one non-final sink.
-
-    Letters the DFA already has keep their transformations; every missing
-    letter sends every state to the sink, and the sink is fixed by all of
-    the target alphabet. No sink is added when no letter is missing, so
-    completion is a no-op on already-complete inputs.
-    """
-    target = make_alphabet(alphabet)
-    missing = [a for a in target if a not in d.alphabet]
-    if set(d.alphabet) - set(target):
-        raise ValueError(
-            f"target alphabet {target!r} is missing letters of {d.alphabet!r}"
-        )
-    if not missing:
-        if target == d.alphabet:
-            return d
-        # Same letters, different order: just realign the rows.
-        return replace(d, alphabet=target, delta=tuple(d.transformation(a) for a in target))
-    n = d.state_count
-    sink = n
-    rows = []
-    for a in target:
-        if a in d.alphabet:
-            rows.append(d.transformation(a) + (sink,))
-        else:
-            rows.append((sink,) * (n + 1))
-    return Dfa(
-        state_count=n + 1,
-        alphabet=target,
-        delta=tuple(rows),
-        initial=d.initial,
-        finals=d.finals,
-    )

@@ -386,7 +386,8 @@ def run_sweep(
 
     Row content is deterministic and independent of the job count. Range
     cells below an entry's validity floor are skipped with a notice on
-    stderr.
+    stderr. An unknown id raises `KeyError` and a repeated one
+    `ValueError`, each naming the ids.
     """
     table = registry_by_id()
     if ids is None:
@@ -395,6 +396,9 @@ def run_sweep(
         unknown = [i for i in ids if i not in table]
         if unknown:
             raise KeyError(f"unknown registry ids: {', '.join(unknown)}")
+        repeated = sorted({i for i in ids if ids.count(i) > 1})
+        if repeated:
+            raise ValueError(f"repeated registry ids: {', '.join(repeated)}")
         selected = [table[i] for i in ids]
     tasks: list[tuple[str, Optional[int], int]] = []
     for entry in selected:

@@ -1,24 +1,28 @@
 """Language operations over possibly different alphabets.
 
 Binary operations take their operands as they are declared: each DFA
-carries only its own letters. Product, star and reversal are subset
-walks in which a letter missing from an operand simply empties that
-operand's part of the subset, while boolean operations complete both
-operands over the union alphabet with a sink before walking the direct
-product, so complement always means complement with respect to the union
-universe. Every result is minimized, trimmed to the alphabet of the
-result language, and reported with its quotient complexity.
+carries only its own letters. Every construction is a subset walk over
+int bitmasks whose masks come from `_moves`: each operand's states sit
+at their own bits, and a letter an operand lacks empties that operand's
+part of the subset, which stands for its empty quotient. So product,
+star, the boolean operations and complement share one mechanism, and
+complement always means complement with respect to the universe the
+walk reads; reversal walks preimages instead. Every result is minimized,
+trimmed to the alphabet of the result language, and reported with its
+quotient complexity.
+
+Two languages are equal iff `trim_alphabet` gives the same DFA for both
+over the same letter order (minimize is canonical), as `_is_ideal` does.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 from .automata import (
     Dfa,
     bits,
-    complete_over,
     determinize,
     make_alphabet,
     minimize,
@@ -35,7 +39,8 @@ class BooleanOp(Enum):
     The value is the truth table as (TT, TF, FT, FF): whether a word
     belongs to the result given membership in the left and right operand.
     Complemented operands are complemented with respect to the union
-    universe, which the direct-product construction provides for free.
+    universe: a letter one operand lacks leaves that operand's part of
+    the walk empty, so the word is outside that operand.
     """
 
     UNION = (True, True, True, False)
@@ -70,64 +75,85 @@ def _finish(d: Dfa, combined: tuple[str, ...]) -> OpResult:
     return OpResult(dfa=trimmed, kappa=trimmed.state_count, combined_alphabet=combined)
 
 
+def _moves(d: Dfa, alphabet: tuple[str, ...], offset: int = 0, link: int = 0) -> list[list[int]]:
+    """Per letter of `alphabet`, the bitmask each state of `d` moves to.
+
+    State q sits at bit offset + q. On a letter `d` lacks every state
+    moves to the empty mask, so the operand's part of the subset empties;
+    a move into a final state also sets the bits of `link`.
+    """
+    targets = [1 << (offset + q) | (link if q in d.finals else 0) for q in range(d.state_count)]
+    rows = dict(zip(d.alphabet, d.delta))
+    return [
+        [targets[q] for q in rows[letter]] if letter in rows else [0] * d.state_count
+        for letter in alphabet
+    ]
+
+
 def product(lhs: Dfa, rhs: Dfa) -> OpResult:
     """Concatenation of the two languages over the union of their alphabets.
 
     Subset walk over the left states (bits 0..m-1) and the right states
     (bits m..m+n-1): entering a final state of the left operand also
-    enters the right operand's initial state. Each operand moves only on
-    its own letters; on any other letter its part of the subset empties.
+    enters the right operand's initial state.
     """
     lhs = minimize(lhs)
     rhs = minimize(rhs)
     combined = union_alphabets(lhs.alphabet, rhs.alphabet)
     offset = lhs.state_count
     enter_rhs = 1 << (offset + rhs.initial)
+    masks = [
+        left + right
+        for left, right in zip(
+            _moves(lhs, combined, link=enter_rhs), _moves(rhs, combined, offset)
+        )
+    ]
+    start = 1 << lhs.initial | (enter_rhs if lhs.initial in lhs.finals else 0)
+    right_finals = bits(offset + f for f in rhs.finals)
+    subsets = determinize(combined, start, subset_step(masks), lambda s: s & right_finals)
+    return _finish(subsets, combined)
 
-    def left(q: int) -> int:
-        return 1 << q | (enter_rhs if q in lhs.finals else 0)
 
-    masks = []
-    for letter in combined:
-        row = [0] * (offset + rhs.state_count)
-        if letter in lhs.alphabet:
-            row[:offset] = map(left, lhs.transformation(letter))
-        if letter in rhs.alphabet:
-            row[offset:] = (1 << (offset + q) for q in rhs.transformation(letter))
-        masks.append(row)
+def boolean(op: BooleanOp, lhs: Dfa, rhs: Dfa) -> OpResult:
+    """Any of the ten proper boolean operations over the union alphabet.
+
+    Subset walk over both operands side by side, the left states at bits
+    0..m-1 and the right states at bits m..m+n-1; a subset holds at most
+    one state of each, and none once a missing letter has emptied it.
+    """
+    lhs = minimize(lhs)
+    rhs = minimize(rhs)
+    combined = union_alphabets(lhs.alphabet, rhs.alphabet)
+    offset = lhs.state_count
+    masks = [
+        left + right
+        for left, right in zip(_moves(lhs, combined), _moves(rhs, combined, offset))
+    ]
+    left_finals = bits(lhs.finals)
     right_finals = bits(offset + f for f in rhs.finals)
     subsets = determinize(
-        combined, left(lhs.initial), subset_step(masks), lambda s: s & right_finals
+        combined,
+        1 << lhs.initial | 1 << (offset + rhs.initial),
+        subset_step(masks),
+        lambda s: op.holds(bool(s & left_finals), bool(s & right_finals)),
     )
     return _finish(subsets, combined)
 
 
-def _direct_product(lhs: Dfa, rhs: Dfa, op: BooleanOp) -> Dfa:
-    """Reachable direct product of two DFAs over one shared alphabet."""
-    assert lhs.alphabet == rhs.alphabet
-    pairs = list(zip(lhs.delta, rhs.delta))
-    return determinize(
-        lhs.alphabet,
-        (lhs.initial, rhs.initial),
-        lambda pq: [(row1[pq[0]], row2[pq[1]]) for row1, row2 in pairs],
-        lambda pq: op.holds(pq[0] in lhs.finals, pq[1] in rhs.finals),
-    )
-
-
-def boolean(op: BooleanOp, lhs: Dfa, rhs: Dfa) -> OpResult:
-    """Any of the ten proper boolean operations over the union alphabet."""
-    combined = union_alphabets(lhs.alphabet, rhs.alphabet)
-    lc = complete_over(minimize(lhs), combined)
-    rc = complete_over(minimize(rhs), combined)
-    return _finish(_direct_product(lc, rc, op), combined)
-
-
 def complement(d: Dfa, universe: tuple[str, ...] | str) -> OpResult:
-    """Complement with respect to the given universe alphabet."""
+    """Complement with respect to the given universe alphabet.
+
+    The result keeps the universe's letter order.
+    """
     universe = make_alphabet(universe)
-    completed = complete_over(minimize(d), universe)
-    flipped = replace(completed, finals=frozenset(range(completed.state_count)) - completed.finals)
-    return _finish(flipped, universe)
+    d = minimize(d)
+    if set(d.alphabet) - set(universe):
+        raise ValueError(f"target alphabet {universe!r} is missing letters of {d.alphabet!r}")
+    finals = bits(d.finals)
+    subsets = determinize(
+        universe, 1 << d.initial, subset_step(_moves(d, universe)), lambda s: not s & finals
+    )
+    return _finish(subsets, universe)
 
 
 def star(d: Dfa) -> OpResult:
@@ -141,9 +167,7 @@ def star(d: Dfa) -> OpResult:
     d = minimize(d)
     fresh = d.state_count
     restart = 1 << d.initial
-    masks = [
-        [1 << q | (restart if q in d.finals else 0) for q in row] + [0] for row in d.delta
-    ]
+    masks = [row + [0] for row in _moves(d, d.alphabet, link=restart)]
     accepting = bits(d.finals) | 1 << fresh
     subsets = determinize(
         d.alphabet, 1 << fresh | restart, subset_step(masks), lambda s: s & accepting
@@ -172,20 +196,6 @@ def universal_dfa(alphabet: tuple[str, ...] | str) -> Dfa:
         initial=0,
         finals=frozenset({0}),
     )
-
-
-def equivalent(d1: Dfa, d2: Dfa) -> bool:
-    """True iff the two languages are equal as word sets.
-
-    Both automata are completed over the union of their alphabets and the
-    reachable direct product is searched for a pair on which exactly one
-    side accepts; no such pair means equality.
-    """
-    combined = union_alphabets(d1.alphabet, d2.alphabet)
-    c1 = complete_over(d1, combined)
-    c2 = complete_over(d2, combined)
-    prod = _direct_product(c1, c2, BooleanOp.SYMDIFF)
-    return not prod.finals
 
 
 def _is_ideal(d: Dfa, prepend: bool, append: bool) -> bool:

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import random
 from collections import deque
+from dataclasses import replace
+from typing import Iterable
 
 import pytest
 
-from statecomplexity import Dfa, make_alphabet
+from statecomplexity import BooleanOp, Dfa, make_alphabet, union_alphabets
 
 
 def fig_ends_in_b() -> Dfa:
@@ -36,13 +38,14 @@ def random_dfa(rng: random.Random, max_states: int = 8, letters: str = "abcd") -
     """Uniformly random complete DFA; not necessarily minimal."""
     n = rng.randint(1, max_states)
     k = rng.randint(1, len(letters))
-    alphabet = make_alphabet(sorted(rng.sample(letters, k)))
-    delta = tuple(
-        tuple(rng.randrange(n) for _ in range(n)) for _ in alphabet
-    )
-    final_count = rng.randint(0, n)
-    finals = frozenset(rng.sample(range(n), final_count))
-    return Dfa(n, alphabet, delta, rng.randrange(n), finals)
+    return random_dfa_over(rng, sorted(rng.sample(letters, k)), n)
+
+
+def random_dfa_over(rng: random.Random, alphabet: list[str], n: int) -> Dfa:
+    """Uniformly random complete n-state DFA over `alphabet`, in its order."""
+    delta = tuple(tuple(rng.randrange(n) for _ in range(n)) for _ in alphabet)
+    finals = frozenset(rng.sample(range(n), rng.randint(0, n)))
+    return Dfa(n, make_alphabet(alphabet), delta, rng.randrange(n), finals)
 
 
 def random_word(rng: random.Random, alphabet: tuple[str, ...], max_len: int = 12) -> str:
@@ -221,6 +224,78 @@ def is_isomorphic(d1: Dfa, d2: Dfa) -> bool:
             pairing[p2] = q2
             queue.append((p2, q2))
     return True
+
+
+def complete_over(d: Dfa, alphabet: Iterable[str]) -> Dfa:
+    """Extend the DFA to a larger alphabet by adding one non-final sink.
+
+    Letters the DFA already has keep their transformations; every missing
+    letter sends every state to the sink, and the sink is fixed by all of
+    the target alphabet. No sink is added when no letter is missing, so
+    completion is a no-op on already-complete inputs.
+    """
+    target = make_alphabet(alphabet)
+    missing = [a for a in target if a not in d.alphabet]
+    if set(d.alphabet) - set(target):
+        raise ValueError(
+            f"target alphabet {target!r} is missing letters of {d.alphabet!r}"
+        )
+    if not missing:
+        if target == d.alphabet:
+            return d
+        # Same letters, different order: just realign the rows.
+        return replace(d, alphabet=target, delta=tuple(d.transformation(a) for a in target))
+    n = d.state_count
+    sink = n
+    rows = []
+    for a in target:
+        if a in d.alphabet:
+            rows.append(d.transformation(a) + (sink,))
+        else:
+            rows.append((sink,) * (n + 1))
+    return Dfa(
+        state_count=n + 1,
+        alphabet=target,
+        delta=tuple(rows),
+        initial=d.initial,
+        finals=d.finals,
+    )
+
+
+def sink_product(op: BooleanOp, lhs: Dfa, rhs: Dfa) -> Dfa:
+    """Reachable direct product of both operands, each completed with a
+    sink over the union alphabet; a pair is final iff `op` holds.
+
+    Tuple-keyed breadth-first search that shares no code with the
+    library's subset walk; an oracle against `boolean`.
+    """
+    combined = union_alphabets(lhs.alphabet, rhs.alphabet)
+    lc, rc = complete_over(lhs, combined), complete_over(rhs, combined)
+    order = [(lc.initial, rc.initial)]
+    index = {order[0]: 0}
+    rows: list[list[int]] = [[] for _ in combined]
+    for p, q in order:  # order grows while it is read: it is the queue
+        for row, left, right in zip(rows, lc.delta, rc.delta):
+            pair = (left[p], right[q])
+            if pair not in index:
+                index[pair] = len(order)
+                order.append(pair)
+            row.append(index[pair])
+    return Dfa(
+        state_count=len(order),
+        alphabet=combined,
+        delta=tuple(map(tuple, rows)),
+        initial=0,
+        finals=frozenset(
+            i for i, (p, q) in enumerate(order) if op.holds(p in lc.finals, q in rc.finals)
+        ),
+    )
+
+
+def equivalent(d1: Dfa, d2: Dfa) -> bool:
+    """True iff the two languages are equal as word sets: no reachable
+    pair of their sink product accepts on exactly one side."""
+    return not sink_product(BooleanOp.SYMDIFF, d1, d2).finals
 
 
 @pytest.fixture

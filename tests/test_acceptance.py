@@ -25,7 +25,6 @@ from statecomplexity import (
     build_right_ideal,
     build_two_sided_ideal,
     complement,
-    equivalent,
     minimize,
     parse_dfa,
     parse_dialect,
@@ -42,6 +41,7 @@ from statecomplexity import (
 
 from conftest import (
     brzozowski_minimize,
+    equivalent,
     fig_ends_in_b,
     fig_ends_in_c,
     is_isomorphic,

@@ -263,6 +263,12 @@ def test_verify_unknown_id(capsys):
     assert code == 2 and "BOGUS" in stderr
 
 
+def test_verify_repeated_id(capsys):
+    code, stdout, stderr = run_cli(capsys, "verify", "--ids", "REG-KAPPA,REG-KAPPA")
+    assert code == 2 and stdout == ""
+    assert stderr == "error: repeated registry ids: REG-KAPPA\n"
+
+
 def test_registry_list(capsys):
     code, stdout, _ = run_cli(capsys, "registry", "list")
     assert code == 0

@@ -8,7 +8,6 @@ from statecomplexity import (
     Dfa,
     accepts,
     build_regular,
-    complete_over,
     determinize,
     language_alphabet,
     minimize,
@@ -21,6 +20,7 @@ from statecomplexity.automata import bits, reversal_step, subset_step, walk
 
 from conftest import (
     brzozowski_minimize,
+    complete_over,
     fig_ends_in_b,
     is_isomorphic,
     language_alphabet_oracle,
@@ -146,7 +146,9 @@ def test_dfa_rejects_final_states_out_of_range(finals):
         ("delta", ((0, 1, 0),)),
         ("delta", [(0, 1)]),
         ("alphabet", ["a"]),
+        ("alphabet", (5,)),
         ("finals", {0}),
+        ("state_count", 2.0),
     ],
     ids=[
         "float-initial",
@@ -155,7 +157,9 @@ def test_dfa_rejects_final_states_out_of_range(finals):
         "long-row",
         "list-delta",
         "list-alphabet",
+        "int-symbol",
         "set-finals",
+        "float-state-count",
     ],
 )
 def test_dfa_rejects_non_integer_or_misshapen_rows(field, value):
@@ -350,7 +354,14 @@ def test_accepts_rejects_foreign_letters():
         accepts(fig_ends_in_b(), "abc")
 
 
-# --- complete_over ------------------------------------------------------------
+@pytest.mark.parametrize("q,word", [(-1, "a"), (3, ""), (7, "a")])
+def test_run_rejects_a_start_outside_the_states(q, word):
+    d = build_regular(3)
+    with pytest.raises(ValueError, match="out of range 0..2"):
+        d.run(q, word)
+
+
+# --- complete_over, the sink-completion oracle of conftest -------------------
 
 
 def test_completing_fig1_matches_fig2():

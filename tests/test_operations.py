@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -13,7 +14,6 @@ from statecomplexity import (
     build_regular,
     build_right_ideal,
     complement,
-    equivalent,
     minimize,
     parse_dialect,
     product,
@@ -25,7 +25,17 @@ from statecomplexity import (
     universal_dfa,
 )
 
-from conftest import fig_ends_in_b, fig_ends_in_c, random_dfa, random_word, word_in
+from conftest import (
+    complete_over,
+    equivalent,
+    fig_ends_in_b,
+    fig_ends_in_c,
+    random_dfa,
+    random_dfa_over,
+    random_word,
+    sink_product,
+    word_in,
+)
 
 
 def reg(n, dialect):
@@ -157,6 +167,42 @@ def test_boolean_symmetry(rng):
         )
 
 
+def operand_pairs(rng: random.Random, count: int):
+    """Random operands whose alphabets are equal, overlapping and disjoint, in turn."""
+    for i in range(count):
+        left = rng.sample("abcdef", rng.randint(1, 3))
+        others = [a for a in "abcdef" if a not in left]
+        if i % 3 == 0:
+            right = rng.sample(left, len(left))
+        elif i % 3 == 1:
+            right = [left[0]] + rng.sample(others, rng.randint(1, 2))
+        else:
+            right = rng.sample(others, rng.randint(1, 3))
+        yield (
+            random_dfa_over(rng, left, rng.randint(1, 5)),
+            random_dfa_over(rng, right, rng.randint(1, 5)),
+        )
+
+
+def test_boolean_equals_the_trimmed_sink_product():
+    for lhs, rhs in operand_pairs(random.Random(20160919), 90):
+        for op in TEN_OPS:
+            assert boolean(op, lhs, rhs).dfa == trim_alphabet(sink_product(op, lhs, rhs)), op
+
+
+def test_complement_equals_the_trimmed_flipped_completion():
+    rng = random.Random(4439)
+    for lhs, rhs in operand_pairs(rng, 60):
+        for d in (lhs, rhs):
+            universe = list(d.alphabet) + rng.sample("uvwxyz", rng.randint(0, 2))
+            rng.shuffle(universe)
+            completed = complete_over(d, universe)
+            flipped = replace(
+                completed, finals=frozenset(range(completed.state_count)) - completed.finals
+            )
+            assert complement(d, universe).dfa == trim_alphabet(flipped)
+
+
 def test_upper_bounds_on_500_random_pairs():
     rng = random.Random(987654321)
     for _ in range(500):
@@ -199,8 +245,13 @@ def test_complement_of_empty_language():
 
 
 def test_complement_needs_a_large_enough_universe():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"target alphabet \('a',\) is missing letters of"):
         complement(fig_ends_in_b(), ("a",))
+
+
+def test_complement_keeps_the_universe_order():
+    r = complement(fig_ends_in_b(), "zba")
+    assert r.dfa.alphabet == r.combined_alphabet == ("z", "b", "a")
 
 
 # --- star --------------------------------------------------------------------------
@@ -304,7 +355,7 @@ def test_universal_language_absorbs_itself():
 
 
 def test_boolean_over_disjoint_singletons():
-    # Union over fully disjoint alphabets exercises both sinks.
+    # Union over fully disjoint alphabets empties each operand's part in turn.
     r = boolean(BooleanOp.UNION, astar(), universal_dfa("b"))
     assert r.combined_alphabet == ("a", "b")
     assert word_in(r.dfa, "")  # epsilon is in both operands

@@ -130,6 +130,11 @@ def test_unknown_ids_raise():
         run_sweep(ids=["NO-SUCH-ENTRY"])
 
 
+def test_repeated_ids_raise_and_name_the_id():
+    with pytest.raises(ValueError, match="repeated registry ids: REG-KAPPA$"):
+        run_sweep(ids=["REG-KAPPA", "REG-STAR", "REG-KAPPA"], n_range=(3, 3))
+
+
 def test_rows_sorted_and_independent_of_jobs():
     ids = ["REG-PROD-R", "REG-KAPPA"]
     serial = run_sweep(ids=ids, m_range=(3, 4), n_range=(3, 4))
@@ -204,13 +209,16 @@ def test_default_sweep_deviations_are_exactly_the_documented_defects():
     assert not any(r.error for r in rows)
 
 
+def golden_columns(rows: list[VerificationRow]) -> str:
+    """Columns 1-6 of the CSV report: everything but elapsed_ms."""
+    return "".join(line.rsplit(",", 1)[0] + "\n" for line in emit_report(rows).splitlines())
+
+
 def test_default_sweep_reproduces_the_golden_columns():
-    # tests/verify_default.csv holds columns 1-6 of `verify` (everything
-    # but elapsed_ms), 8 documented mismatches included. A faster kernel
-    # must give these bytes exactly.
+    # tests/verify_default.csv holds columns 1-6 of `verify`, 8 documented
+    # mismatches included. A faster kernel must give these bytes exactly.
     golden = (Path(__file__).parent / "verify_default.csv").read_text()
-    report = emit_report(run_sweep())
-    assert "".join(line.rsplit(",", 1)[0] + "\n" for line in report.splitlines()) == golden
+    assert golden_columns(run_sweep()) == golden
 
 
 KNOWN_DEFECT_IDS = {"LID-ATOMS", "TID-ATOM-COUNT", "TID-ATOMS", "TID-REVERSE"}
@@ -227,8 +235,14 @@ def test_bounds_hold_one_size_beyond_the_default_grid():
 
 @pytest.mark.slow
 def test_bounds_hold_on_the_extended_grid():
-    rows = run_sweep(ids=_sound_ids(), m_range=(3, 7), n_range=(3, 7))
-    assert all(r.match for r in rows), [r for r in rows if not r.match]
+    # One sweep of every id over 3..7: the sound ids must match, and all
+    # rows, 13 documented mismatches included, must give the columns 1-6
+    # of `verify --m 3..7 --n 3..7` held in tests/verify_grid_3to7.csv.
+    rows = run_sweep(m_range=(3, 7), n_range=(3, 7))
+    sound = [r for r in rows if r.entry_id not in KNOWN_DEFECT_IDS]
+    assert all(r.match for r in sound), [r for r in sound if not r.match]
+    golden = (Path(__file__).parent / "verify_grid_3to7.csv").read_text()
+    assert golden_columns(rows) == golden
 
 
 def test_construction_failures_become_failed_rows(monkeypatch):

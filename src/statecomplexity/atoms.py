@@ -14,7 +14,16 @@ from functools import cache
 from math import comb
 from typing import Iterable
 
-from .automata import Dfa, bits, minimize, nerode_classes, reversal_step, subset_step, walk
+from .automata import (
+    Dfa,
+    bits,
+    components,
+    minimize,
+    nerode_classes,
+    reversal_step,
+    subset_step,
+    walk,
+)
 from .witnesses import WitnessClass
 
 
@@ -93,21 +102,31 @@ def atom_complexities(d: Dfa, profiles: Iterable[Iterable[int]]) -> list[int]:
     it serve all the profiles. A pair's language does not depend on which
     start reached it, so the classes reachable from the start pair of S
     are exactly the states of the minimal DFA of S's atom, and their
-    number equals `atom_dfa(d, s).state_count`. An empty atom counts 1,
-    like the one-state dead DFA.
+    number equals `atom_dfa(d, s).state_count`. One pass over the
+    strongly connected components of the class graph, sinks first, gives
+    every class the bitmask of the classes it reaches, and a profile's
+    count is that mask's popcount at its start class. An empty atom
+    counts 1, like the one-state dead DFA.
     """
     profiles = [_profile(s, d.state_count) for s in profiles]
     if not profiles:
         return []
     pairs = _pair_automaton(d, profiles)
     cls = nerode_classes(pairs)
-    member = {c: q for q, c in enumerate(cls)}  # any member gives its class's successors
-    successors = {c: [cls[row[q]] for row in pairs.delta] for c, q in member.items()}
+    member = [0] * (max(cls) + 1)  # any member gives its class's successors
+    for q, c in enumerate(cls):
+        member[c] = q
+    successors = [[cls[row[q]] for row in pairs.delta] for q in member]
+    comp = components(successors)
+    # reach[k]: bitmask of the classes reachable from component k. Edges
+    # go to the same or a lower component, so each is complete when read.
+    reach = [0] * (max(comp) + 1)
+    for c in sorted(range(len(comp)), key=comp.__getitem__):
+        reach[comp[c]] |= 1 << c
+        for e in successors[c]:
+            reach[comp[c]] |= reach[comp[e]]
     start = {s: number for number, s in enumerate(dict.fromkeys(profiles))}
-    return [
-        len(walk(len(d.alphabet), (cls[start[s]],), successors.__getitem__)[0])
-        for s in profiles
-    ]
+    return [reach[comp[cls[start[s]]]].bit_count() for s in profiles]
 
 
 def atoms(d: Dfa) -> list[frozenset[int]]:

@@ -154,6 +154,52 @@ def determinize(
     )
 
 
+def components(successors: Sequence[Iterable[int]]) -> list[int]:
+    """Entry v is the number of the strongly connected component of v.
+
+    `successors[v]` lists the vertices v has edges to, as ints 0..N-1.
+    Tarjan's algorithm with an explicit stack, so deep graphs do not hit
+    the recursion limit. It closes a component only after every component
+    it reaches, and numbers them in that order: sinks first, so every
+    edge goes to the same component or a lower-numbered one.
+    """
+    order = [0] * len(successors)  # 1 + the visit number, or 0 if unvisited
+    low = [0] * len(successors)
+    comp = [-1] * len(successors)
+    open_vertices: list[int] = []
+    count = visits = 0
+    for root in range(len(successors)):
+        if order[root]:
+            continue
+        visits += 1
+        order[root] = low[root] = visits
+        open_vertices.append(root)
+        path = [(root, iter(successors[root]))]
+        while path:
+            v, edges = path[-1]
+            for w in edges:
+                if not order[w]:
+                    visits += 1
+                    order[w] = low[w] = visits
+                    open_vertices.append(w)
+                    path.append((w, iter(successors[w])))
+                    break
+                if comp[w] < 0 and order[w] < low[v]:  # w is still open
+                    low[v] = order[w]
+            else:
+                path.pop()
+                if path and low[v] < low[path[-1][0]]:
+                    low[path[-1][0]] = low[v]
+                if low[v] == order[v]:
+                    while True:
+                        w = open_vertices.pop()
+                        comp[w] = count
+                        if w == v:
+                            break
+                    count += 1
+    return comp
+
+
 def bits(states: Iterable[int]) -> int:
     """The bitmask of a set of states."""
     mask = 0

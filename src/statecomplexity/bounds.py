@@ -46,6 +46,7 @@ class WitnessRecipe:
     witness: WitnessClass
     dialect: str = ""  # empty string keeps the full canonical alphabet
 
+    @functools.cache  # keyed by (recipe, n); a Dfa is frozen, so sharing it is safe
     def build(self, n: int) -> Dfa:
         base = self.witness.build(n)
         if not self.dialect:

@@ -204,7 +204,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (OSError, ValueError, KeyError, UsageError) as exc:
+    except KeyError as exc:  # str() of a KeyError quotes its message
+        print(f"error: {exc.args[0]}", file=sys.stderr)
+        return 2
+    except (OSError, ValueError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CapacityError as exc:

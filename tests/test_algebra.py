@@ -13,7 +13,11 @@ from statecomplexity import (
     parse_dialect,
     syntactic_semigroup_size,
     transition_semigroup,
+    trim_alphabet,
 )
+from statecomplexity.bounds import registry_by_id
+
+from conftest import random_dfa, semigroup_oracle
 
 
 def reg(n, dialect):
@@ -39,8 +43,6 @@ def pointwise(d: Dfa, word: str) -> bytes:
 
 
 def test_generator_words_are_shortest(rng):
-    from conftest import random_dfa
-
     for _ in range(20):
         d = random_dfa(rng, max_states=4, letters="ab")
         closure = transition_semigroup(d, with_words=True)
@@ -113,8 +115,6 @@ def test_syntactic_size_uses_the_minimal_trimmed_dfa():
 
 
 def test_size_bounded_by_n_to_the_n(rng):
-    from conftest import random_dfa
-
     for _ in range(50):
         d = random_dfa(rng, max_states=5)
         assert len(transition_semigroup(d, with_words=False)) <= d.state_count**d.state_count
@@ -148,8 +148,6 @@ def test_capacity_guard():
 
 
 def test_closure_matches_tuple_oracle(rng):
-    from conftest import random_dfa, semigroup_oracle
-
     witnesses = [build_regular(n) for n in (3, 4, 5)]
     witnesses += [build_right_ideal(n) for n in (3, 4, 5)]
     witnesses += [build_left_ideal(n) for n in (4, 5)]
@@ -179,3 +177,69 @@ def test_closure_refuses_257_states():
 @pytest.mark.slow
 def test_regular_semigroup_n6():
     assert syntactic_semigroup_size(reg(6, "a,b,c")) == 6**6
+
+
+# --- the R-class count against the closure ------------------------------------
+
+
+def with_permutation_letter(rng, d: Dfa) -> Dfa:
+    """`d` with one letter's row replaced by a random permutation."""
+    images = list(range(d.state_count))
+    rng.shuffle(images)
+    k = rng.randrange(len(d.alphabet))
+    delta = d.delta[:k] + (tuple(images),) + d.delta[k + 1 :]
+    return Dfa(d.state_count, d.alphabet, delta, d.initial, d.finals)
+
+
+def test_count_matches_the_oracle_on_random_dfas(rng):
+    for i in range(600):
+        d = random_dfa(rng, max_states=6, letters="abc")
+        if i % 3 == 0:
+            d = with_permutation_letter(rng, d)
+        assert syntactic_semigroup_size(d) == len(semigroup_oracle(trim_alphabet(d)))
+
+
+SEMIGROUP_CELLS = [
+    pytest.param(tag, n, marks=[pytest.mark.slow] if n == 7 else [])
+    for tag, floor in (("REG", 3), ("RID", 3), ("LID", 4), ("TID", 5))
+    for n in range(floor, 8)
+]
+
+
+@pytest.mark.parametrize("tag,n", SEMIGROUP_CELLS)
+def test_count_matches_the_oracle_on_witnesses(tag, n):
+    d = registry_by_id()[f"{tag}-SEMIGROUP"].lhs.build(n)
+    assert syntactic_semigroup_size(d) == len(semigroup_oracle(trim_alphabet(d)))
+
+
+def test_count_has_no_elements_without_letters():
+    assert syntactic_semigroup_size(Dfa(3, (), (), 0, frozenset({0}))) == 0
+    assert syntactic_semigroup_size(Dfa(1, ("a",), ((0,),), 0, frozenset({0}))) == 1
+
+
+def test_count_handles_256_states():
+    assert syntactic_semigroup_size(cycle(256)) == 256
+
+
+def test_count_refuses_257_states():
+    with pytest.raises(CapacityError, match="256"):
+        syntactic_semigroup_size(cycle(257))
+
+
+def test_count_caps_its_stored_elements(monkeypatch):
+    import statecomplexity.algebra as algebra
+
+    d = reg(5, "a,b,c")
+    monkeypatch.setattr(algebra, "MAX_SEMIGROUP_ELEMENTS", 100)  # S_5 alone has 120
+    with pytest.raises(CapacityError, match="100"):
+        syntactic_semigroup_size(d)
+    monkeypatch.setattr(algebra, "MAX_SEMIGROUP_ELEMENTS", 5**5)  # at most |S| are stored
+    assert syntactic_semigroup_size(d) == 5**5
+
+
+@pytest.mark.slow
+def test_semigroup_witnesses_at_n8():
+    # No enumeration oracle reaches these sizes; the closed forms check them.
+    expected = {"REG": 16_777_216, "RID": 2_097_152, "LID": 2_097_159, "TID": 262_529}
+    for tag, size in expected.items():
+        assert syntactic_semigroup_size(registry_by_id()[f"{tag}-SEMIGROUP"].lhs.build(8)) == size

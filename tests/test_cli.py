@@ -260,7 +260,7 @@ def test_verify_jobs_below_one_is_usage_error(capsys, jobs):
 
 def test_verify_unknown_id(capsys):
     code, _, stderr = run_cli(capsys, "verify", "--ids", "BOGUS")
-    assert code == 2 and "BOGUS" in stderr
+    assert code == 2 and stderr == "error: unknown registry ids: BOGUS\n"
 
 
 def test_verify_repeated_id(capsys):

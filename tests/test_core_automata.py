@@ -16,7 +16,7 @@ from statecomplexity import (
     restrict_alphabet,
     trim_alphabet,
 )
-from statecomplexity.automata import bits, reversal_step, subset_step, walk
+from statecomplexity.automata import bits, components, reversal_step, subset_step, walk
 
 from conftest import (
     brzozowski_minimize,
@@ -467,3 +467,64 @@ def test_complement_complexity_drop_is_at_most_one(rng):
         kappa = d.state_count
         comp = complement(d, d.alphabet)
         assert comp.kappa in (kappa, kappa - 1)
+
+
+# --- strongly connected components ----------------------------------------------
+
+
+def reachability(successors) -> list[set[int]]:
+    """Entry v is the set of vertices v reaches, itself included."""
+    out = []
+    for v in range(len(successors)):
+        seen = {v}
+        stack = [v]
+        while stack:
+            for w in successors[stack.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        out.append(seen)
+    return out
+
+
+def check_components(successors) -> list[int]:
+    """Compare `components` with mutual reachability and check the order."""
+    comp = components(successors)
+    reach = reachability(successors)
+    n = len(successors)
+    for v in range(n):
+        for w in range(n):
+            assert (comp[v] == comp[w]) == (w in reach[v] and v in reach[w])
+    assert sorted(set(comp)) == list(range(len(set(comp))))
+    for v, targets in enumerate(successors):
+        assert all(comp[w] <= comp[v] for w in targets)  # sinks first
+    return comp
+
+
+def test_components_of_a_dag_are_singletons_sinks_first():
+    comp = check_components([[1, 2], [3], [3], []])
+    assert comp[3] == 0 and len(set(comp)) == 4
+
+
+def test_components_of_a_cycle_and_self_loops():
+    assert check_components([[1], [2], [0]]) == [0, 0, 0]
+    assert check_components([[0], [1], [2]]) == [0, 1, 2]
+    assert check_components([[0, 1], [1, 2], [2]]) == [2, 1, 0]
+
+
+def test_components_of_a_disconnected_graph():
+    comp = check_components([[1], [0], [3], [2], [], [4]])
+    assert comp[0] == comp[1] and comp[2] == comp[3] and len(set(comp)) == 4
+    assert check_components([]) == []
+
+
+def test_components_of_random_graphs(rng):
+    for _ in range(200):
+        n = rng.randint(1, 12)
+        check_components([rng.sample(range(n), rng.randint(0, min(n, 3))) for _ in range(n)])
+
+
+def test_components_of_a_long_cycle_need_no_recursion():
+    n = 20000
+    comp = components([[v + 1] for v in range(n - 1)] + [[0]])
+    assert set(comp) == {0}

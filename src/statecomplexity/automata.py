@@ -45,7 +45,8 @@ class Dfa:
     is a tuple of ints whose entry q is the image of state q, so
     completeness is structural rather than checked per word. This
     constructor is the one place rows are checked: everything built from
-    checked rows stays in range without further checks.
+    checked rows stays in range without further checks, so `determinize`
+    builds its walk's result without repeating them.
     """
 
     state_count: int
@@ -142,16 +143,39 @@ def determinize(
 
     Every construction here is such a walk: subsets of states as int
     bitmasks (see `subset_step`), pairs of states, or minimize's classes.
-    A key is a final state iff `accepting(key)`.
+    A key is a final state iff `accepting(key)`. The alphabet and the
+    number of successors `step` lists are checked here; the walk numbers
+    every row entry itself, so the entries are not checked again.
     """
+    alphabet = make_alphabet(alphabet)
     keys, rows = walk(len(alphabet), (start,), step)
-    return Dfa(
-        state_count=len(keys),
-        alphabet=alphabet,
-        delta=tuple(map(tuple, rows)),
-        initial=0,
-        finals=frozenset(i for i, key in enumerate(keys) if accepting(key)),
+    if any(len(row) != len(keys) for row in rows):
+        raise ValueError(f"step must list one successor per letter of {alphabet!r}")
+    return _walked_dfa(
+        len(keys),
+        alphabet,
+        tuple(map(tuple, rows)),
+        frozenset(i for i, key in enumerate(keys) if accepting(key)),
     )
+
+
+def _walked_dfa(
+    state_count: int,
+    alphabet: tuple[str, ...],
+    delta: tuple[tuple[int, ...], ...],
+    finals: frozenset[int],
+) -> Dfa:
+    """A Dfa from initial state 0 over rows that `walk` has just numbered.
+
+    The walk numbers every row entry itself, so the checks of the public
+    constructor would only repeat it: this builds the frozen instance
+    without running `Dfa.__post_init__`.
+    """
+    d = object.__new__(Dfa)
+    d.__dict__.update(
+        state_count=state_count, alphabet=alphabet, delta=delta, initial=0, finals=finals
+    )
+    return d
 
 
 def components(successors: Sequence[Iterable[int]]) -> list[int]:
@@ -241,19 +265,84 @@ def reversal_step(d: Dfa) -> Callable[[int], list[int]]:
 def nerode_classes(d: Dfa) -> list[int]:
     """Entry q is the number of the class of states with q's language.
 
-    Partition refinement in the Moore style over every state, reachable
-    or not: states start split by finality and are repeatedly re-bucketed
-    on the classes of their successors until stable.
+    Hopcroft's refinement over every state, reachable or not, kept in
+    Valmari and Lehtinen's refinable partition ("Fast brief practical DFA
+    minimization", IPL 112, 2012). States start split by finality. A
+    pending class is a splitter: per letter, its preimages are marked,
+    and every class holding both marked and unmarked states splits, the
+    smaller part becoming a new pending class. After the first pending
+    class, the smaller of the two finality classes, a state joins a
+    pending class only in the smaller part of a split, so its preimages
+    are scanned O(log n) times: O(k·n·log n) for k letters. Classes are
+    numbered 0..count-1.
     """
-    cls = [int(q in d.finals) for q in range(d.state_count)]
-    count = len(set(cls))
-    while True:
-        buckets: dict[tuple[int, ...], int] = {}
-        signatures = zip(cls, *([cls[j] for j in row] for row in d.delta))
-        nxt = [buckets.setdefault(sig, len(buckets)) for sig in signatures]
-        if len(buckets) == count:
-            return cls
-        cls, count = nxt, len(buckets)
+    n = d.state_count
+    block = [0] * n
+    split = n - len(d.finals)
+    if not 0 < split < n:
+        return block  # one finality, one class
+    for q in d.finals:
+        block[q] = 1
+    # Each class c is the slice elems[first[c]:end[c]], its marked states
+    # in front of mid[c]; loc[q] is the index of q in elems.
+    elems = [q for q in range(n) if q not in d.finals]
+    elems += d.finals
+    first, mid, end = [0, split], [0, split], [split, n]
+    loc = [0] * n
+    for i, q in enumerate(elems):
+        loc[q] = i
+    pending = [0 if split <= n - split else 1]  # the smaller class
+    preimages = []
+    for row in d.delta:
+        # Most states have at most one preimage on a letter: those with
+        # none share (), and each list starts at its exact size.
+        pre: list = [()] * n
+        for p in elems:
+            q = row[p]
+            if pre[q]:
+                pre[q].append(p)
+            else:
+                pre[q] = [p]
+        preimages.append(pre)
+    while pending:
+        b = pending.pop()
+        splitter = elems[first[b] : end[b]]
+        for pre in preimages:
+            # A state has one successor per letter, so no state is marked
+            # twice here: each one is swapped to the end of its class's
+            # marked part.
+            touched = []
+            for q in splitter:
+                for p in pre[q]:
+                    c = block[p]
+                    m = mid[c]
+                    if m == first[c]:
+                        if m + 1 == end[c]:
+                            continue  # a single state cannot split
+                        touched.append(c)
+                    i, r = loc[p], elems[m]
+                    elems[m], elems[i] = p, r
+                    loc[p], loc[r] = m, i
+                    mid[c] = m + 1
+            for c in touched:
+                lo, m, hi = first[c], mid[c], end[c]
+                mid[c] = lo
+                if m == hi:
+                    continue  # wholly marked: nothing splits
+                if m - lo <= hi - m:  # the marked part is the smaller
+                    first[c] = mid[c] = m
+                    hi = m
+                else:
+                    end[c] = m
+                    lo = m
+                new = len(first)
+                first.append(lo)
+                mid.append(lo)
+                end.append(hi)
+                for p in elems[lo:hi]:
+                    block[p] = new
+                pending.append(new)
+    return block
 
 
 def minimize(d: Dfa) -> Dfa:
@@ -267,14 +356,17 @@ def minimize(d: Dfa) -> Dfa:
         # Nothing to refine; a huge declared state count allocates nothing.
         return Dfa(1, (), (), 0, frozenset({0}) if d.initial in d.finals else frozenset())
     cls = nerode_classes(d)
-    rep: dict[int, int] = {}
+    rep = [0] * (max(cls) + 1)  # any member stands for its class
     for q, c in enumerate(cls):
-        rep.setdefault(c, q)
+        rep[c] = q
+    # Each class's successors and finality are read off its member once,
+    # so the walk's step is a list lookup.
+    images = [[cls[row[q]] for q in rep] for row in d.delta]
     return determinize(
         d.alphabet,
         cls[d.initial],
-        lambda c: [cls[row[rep[c]]] for row in d.delta],
-        lambda c: rep[c] in d.finals,
+        list(zip(*images)).__getitem__,
+        [q in d.finals for q in rep].__getitem__,
     )
 
 

@@ -9,7 +9,7 @@ from typing import Iterable
 
 import pytest
 
-from statecomplexity import BooleanOp, Dfa, make_alphabet, union_alphabets
+from statecomplexity import BooleanOp, Dfa, determinize, make_alphabet, union_alphabets
 
 
 def fig_ends_in_b() -> Dfa:
@@ -140,6 +140,42 @@ def _reverse_determinize(d: Dfa) -> Dfa:
 def brzozowski_minimize(d: Dfa) -> Dfa:
     """Minimization by double reversal; an oracle against minimize."""
     return _reverse_determinize(_reverse_determinize(d))
+
+
+def moore_classes(d: Dfa) -> list[int]:
+    """Moore's refinement; an oracle against `nerode_classes`.
+
+    States start split by finality and are re-bucketed on the classes of
+    their successors, one round per word length, until stable. The class
+    numbers are not always dense: an all-final DFA gives `[1] * n`.
+    """
+    cls = [int(q in d.finals) for q in range(d.state_count)]
+    count = len(set(cls))
+    while True:
+        buckets: dict[tuple[int, ...], int] = {}
+        signatures = zip(cls, *([cls[j] for j in row] for row in d.delta))
+        nxt = [buckets.setdefault(sig, len(buckets)) for sig in signatures]
+        if len(buckets) == count:
+            return cls
+        cls, count = nxt, len(buckets)
+
+
+def moore_minimize(d: Dfa) -> Dfa:
+    """`minimize` with Moore's refinement in place of Hopcroft's.
+
+    The quotient of `moore_classes` walked from the initial class; an
+    oracle that the refinement changes no result, not even a numbering.
+    """
+    cls = moore_classes(d)
+    rep: dict[int, int] = {}
+    for q, c in enumerate(cls):
+        rep.setdefault(c, q)
+    return determinize(
+        d.alphabet,
+        cls[d.initial],
+        lambda c: [cls[row[rep[c]]] for row in d.delta],
+        lambda c: rep[c] in d.finals,
+    )
 
 
 def language_alphabet_oracle(d: Dfa) -> tuple[str, ...]:

@@ -11,12 +11,21 @@ from statecomplexity import (
     determinize,
     language_alphabet,
     minimize,
+    operations,
     quotient_complexity,
     quotient_complexity_of_state,
     restrict_alphabet,
     trim_alphabet,
 )
-from statecomplexity.automata import bits, components, reversal_step, subset_step, walk
+from statecomplexity.automata import (
+    bits,
+    components,
+    nerode_classes,
+    reversal_step,
+    subset_step,
+    walk,
+)
+from statecomplexity.bounds import BOOLEAN_BY_NAME, registry_by_id
 
 from conftest import (
     brzozowski_minimize,
@@ -24,8 +33,11 @@ from conftest import (
     fig_ends_in_b,
     is_isomorphic,
     language_alphabet_oracle,
+    moore_classes,
+    moore_minimize,
     nfa_accepts,
     random_dfa,
+    random_dfa_over,
     random_word,
     word_in,
 )
@@ -131,6 +143,16 @@ def test_determinize_raises_capacity_error(monkeypatch):
     assert determinize(d.alphabet, 1, lambda s: [s, s, s, s], bool).state_count == 1
 
 
+@pytest.mark.parametrize(
+    ("alphabet", "successors"), [(("A",), 1), (("a", "a"), 2), (("a", "b"), 1)]
+)
+def test_determinize_checks_what_its_caller_supplies(alphabet, successors):
+    # The walked rows skip the constructor's checks, so a bad alphabet or
+    # a step with too few successors must be refused before they are built.
+    with pytest.raises(ValueError):
+        determinize(alphabet, 0, lambda k: [(k + 1) % 3] * successors, bool)
+
+
 @pytest.mark.parametrize("finals", [{2}, {-1}, {0.5}, {"0"}])
 def test_dfa_rejects_final_states_out_of_range(finals):
     with pytest.raises(ValueError):
@@ -208,11 +230,11 @@ def test_minimize_agrees_with_brzozowski_on_1000_random_dfas():
     rng = random.Random(20240811)
     for _ in range(1000):
         d = random_dfa(rng, max_states=8, letters="abcd")
-        moore = minimize(d)
+        minimal = minimize(d)
         double_reversal = brzozowski_minimize(d)
-        assert is_isomorphic(moore, double_reversal)
+        assert is_isomorphic(minimal, double_reversal)
         # Both pipelines number states canonically, so they agree exactly.
-        assert moore == double_reversal
+        assert minimal == double_reversal
 
 
 def test_minimize_is_idempotent(rng):
@@ -229,6 +251,78 @@ def test_minimize_preserves_language(rng):
         for _ in range(20):
             w = random_word(rng, d.alphabet)
             assert accepts(d, w) == accepts(m, w)
+
+
+# --- nerode_classes against Moore's refinement -------------------------------
+
+
+def check_classes(d: Dfa) -> list[int]:
+    """The classes equal the oracle's up to renaming and are numbered 0..k-1."""
+    cls = nerode_classes(d)
+    oracle = moore_classes(d)
+    assert len(cls) == d.state_count
+    assert len(set(zip(cls, oracle))) == len(set(cls)) == len(set(oracle))
+    assert sorted(set(cls)) == list(range(max(cls) + 1))
+    return cls
+
+
+def test_nerode_classes_match_moore_on_random_dfas():
+    rng = random.Random(1971)
+    for _ in range(2000):
+        n = rng.randint(1, 12)
+        d = random_dfa_over(rng, sorted(rng.sample("abc", rng.randint(0, 3))), n)
+        check_classes(d)
+        assert minimize(d) == moore_minimize(d)
+
+
+@pytest.mark.parametrize("finals", [frozenset(), frozenset(range(5))])
+def test_nerode_classes_of_one_finality_are_one_class(finals):
+    d = Dfa(5, ("a", "b"), ((1, 2, 3, 4, 0), (0, 0, 1, 1, 2)), 0, finals)
+    assert check_classes(d) == [0] * 5
+
+
+@pytest.mark.parametrize("finals", [frozenset(), frozenset({0})])
+def test_nerode_classes_of_one_state(finals):
+    assert check_classes(Dfa(1, ("a",), ((0,),), 0, finals)) == [0]
+    assert check_classes(Dfa(1, (), (), 0, finals)) == [0]
+
+
+def test_nerode_classes_over_the_empty_alphabet_split_by_finality():
+    cls = check_classes(Dfa(4, (), (), 2, frozenset({1, 3})))
+    assert cls[0] == cls[2] != cls[1] == cls[3]
+
+
+@pytest.mark.slow
+def test_nerode_classes_of_a_long_cyclic_counter():
+    # One letter steps a 3,000-cycle toward its one final state, so every
+    # state differs and Moore's rounds separate one state per round.
+    n = 3000
+    d = Dfa(n, ("a",), (tuple((q + 1) % n for q in range(n)),), 0, frozenset({n - 1}))
+    assert len(set(check_classes(d))) == n
+    assert minimize(d) == d  # already minimal and numbered in walk order
+
+
+@pytest.mark.parametrize(
+    ("entry_id", "m", "n"), [("REG-BOOL-U-UNION", 60, 60), ("LID-PROD-U", 40, 40)]
+)
+def test_nerode_classes_match_moore_on_large_walks(monkeypatch, entry_id, m, n):
+    # The subset walk a large operation hands to its final minimize.
+    walked = []
+
+    def record(d):
+        walked.append(d)
+        return trim_alphabet(d)
+
+    monkeypatch.setattr(operations, "trim_alphabet", record)
+    entry = registry_by_id()[entry_id]
+    lhs, rhs = entry.lhs.build(m), entry.rhs.build(n)
+    if entry.operation == "product":
+        operations.product(lhs, rhs)
+    else:
+        operations.boolean(BOOLEAN_BY_NAME[entry.operation], lhs, rhs)
+    (d,) = walked
+    check_classes(d)
+    assert minimize(d) == moore_minimize(d)
 
 
 # --- isomorphism ------------------------------------------------------------

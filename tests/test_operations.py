@@ -391,3 +391,28 @@ def test_reverse_subset_automaton_size():
     # The preimage walk of the 3-state witness reaches all 8 subsets.
     d = reg(3, "a,b,c")
     assert determinize(d.alphabet, bits(d.finals), reversal_step(d), bool).state_count == 8
+
+
+# --- results built without re-validation -----------------------------------------------
+
+
+def test_every_construction_returns_a_valid_dfa(rng):
+    # Walk results skip the constructor's checks; rebuilding one through
+    # the public constructor must accept it and give an equal DFA.
+    ops = list(BooleanOp)
+    for _ in range(150):
+        lhs = random_dfa(rng, max_states=6, letters="abc")
+        rhs = random_dfa(rng, max_states=6, letters="bcd")
+        results = [
+            minimize(lhs),
+            trim_alphabet(lhs),
+            product(lhs, rhs).dfa,
+            boolean(rng.choice(ops), lhs, rhs).dfa,
+            star(lhs).dfa,
+            reverse(lhs).dfa,
+            complement(lhs, "abcd").dfa,
+        ]
+        for d in results:
+            assert Dfa(d.state_count, d.alphabet, d.delta, d.initial, d.finals) == d
+            with pytest.raises(ValueError):
+                replace(d, initial=d.state_count)  # replace still checks

@@ -341,6 +341,12 @@ def evaluate_cell(entry: BoundEntry, m: Optional[int], n: int) -> VerificationRo
     )
 
 
+# Cells go to the pool in contiguous batches: few enough that the pickle
+# round trips stop dominating, many enough that a slow batch leaves no
+# worker idle for long.
+_BATCHES_PER_WORKER = 8
+
+
 def _evaluate_by_id(task: tuple[str, Optional[int], int]) -> VerificationRow:
     entry_id, m, n = task
     return evaluate_cell(registry_by_id()[entry_id], m, n)
@@ -385,7 +391,9 @@ def run_sweep(
 ) -> list[VerificationRow]:
     """Evaluate the selected entries over the grid; rows sorted by (id, m, n).
 
-    Row content is deterministic and independent of the job count. Range
+    Row content is deterministic and independent of the job count. With
+    `jobs > 1` the cells go in contiguous batches to at most `jobs` worker
+    processes, and to no more processes than there are batches. Range
     cells below an entry's validity floor are skipped with a notice on
     stderr. An unknown id raises `KeyError` and a repeated one
     `ValueError`, each naming the ids.
@@ -408,8 +416,10 @@ def run_sweep(
             print(f"notice: {notice}", file=sys.stderr)
         tasks.extend(cells)
     if jobs > 1 and len(tasks) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_evaluate_by_id, tasks))
+        batch = -(-len(tasks) // (_BATCHES_PER_WORKER * jobs))
+        workers = min(jobs, -(-len(tasks) // batch))
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            rows = list(pool.map(_evaluate_by_id, tasks, chunksize=batch))
     else:
         rows = [_evaluate_by_id(task) for task in tasks]
     rows.sort(key=lambda r: (r.entry_id, r.m if r.m is not None else -1, r.n))

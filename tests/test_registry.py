@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import concurrent.futures
 import dataclasses
+import itertools
 from pathlib import Path
 
 import pytest
@@ -135,15 +137,85 @@ def test_repeated_ids_raise_and_name_the_id():
         run_sweep(ids=["REG-KAPPA", "REG-STAR", "REG-KAPPA"], n_range=(3, 3))
 
 
+def strip(rows: list[VerificationRow]) -> list[tuple]:
+    """Every field of each row but elapsed_ms."""
+    return [(r.entry_id, r.m, r.n, r.expected, r.measured, r.match, r.error) for r in rows]
+
+
 def test_rows_sorted_and_independent_of_jobs():
     ids = ["REG-PROD-R", "REG-KAPPA"]
     serial = run_sweep(ids=ids, m_range=(3, 4), n_range=(3, 4))
     parallel = run_sweep(ids=ids, m_range=(3, 4), n_range=(3, 4), jobs=4)
-    strip = lambda rows: [
-        (r.entry_id, r.m, r.n, r.expected, r.measured, r.match) for r in rows
-    ]
     assert strip(serial) == strip(parallel)
     assert strip(serial) == sorted(strip(serial))
+
+
+def test_batches_of_uneven_size_give_the_serial_rows():
+    import statecomplexity.bounds as reg_mod
+
+    ids = ["REG-PROD-R", "REG-BOOL-R-INTER", "REG-KAPPA"]
+    serial = run_sweep(ids=ids, m_range=(3, 5), n_range=(3, 7))
+    batch = -(-len(serial) // (reg_mod._BATCHES_PER_WORKER * 3))
+    assert len(serial) % batch  # 15 + 15 + 5 tasks: the last batch is a short one
+    assert strip(run_sweep(ids=ids, m_range=(3, 5), n_range=(3, 7), jobs=3)) == strip(serial)
+
+
+class RecordingPool(concurrent.futures.ThreadPoolExecutor):
+    """A process-pool stand-in on threads that records its sizing and batches like the real one."""
+
+    made: list[RecordingPool] = []
+
+    def __init__(self, max_workers):
+        super().__init__(max_workers=max_workers)
+        self.max_workers = max_workers
+        self.batches: list[list] = []
+        RecordingPool.made.append(self)
+
+    def map(self, fn, tasks, chunksize=1):
+        tasks = list(tasks)
+        self.batches = [tasks[i : i + chunksize] for i in range(0, len(tasks), chunksize)]
+        done = super().map(lambda batch: [fn(task) for task in batch], self.batches)
+        return itertools.chain.from_iterable(done)
+
+
+@pytest.fixture
+def recording_pool(monkeypatch):
+    import statecomplexity.bounds as reg_mod
+
+    monkeypatch.setattr(RecordingPool, "made", [])
+    monkeypatch.setattr(reg_mod.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return RecordingPool.made
+
+
+def test_pool_is_capped_at_the_number_of_batches(recording_pool):
+    # Two cells at --jobs 64 need two workers, not 64 forked processes.
+    serial = run_sweep(ids=["REG-KAPPA"], n_range=(3, 4))
+    rows = run_sweep(ids=["REG-KAPPA"], n_range=(3, 4), jobs=64)
+    (pool,) = recording_pool
+    assert pool.max_workers == 2 and len(pool.batches) == 2
+    assert strip(rows) == strip(serial)
+
+
+def test_a_failing_cell_leaves_the_rest_of_its_batch_intact(recording_pool, monkeypatch):
+    import statecomplexity.bounds as reg_mod
+
+    serial = run_sweep(ids=["REG-KAPPA"], n_range=(3, 40))
+    real = reg_mod.quotient_complexity
+
+    def fail_at_seven(dfa):
+        if dfa.state_count == 7:
+            raise RuntimeError("boom")
+        return real(dfa)
+
+    monkeypatch.setattr(reg_mod, "quotient_complexity", fail_at_seven)
+    rows = run_sweep(ids=["REG-KAPPA"], n_range=(3, 40), jobs=2)
+    (pool,) = recording_pool
+    (batch,) = [b for b in pool.batches if ("REG-KAPPA", None, 7) in b]
+    assert len(batch) > 1
+    failed = [r for r in rows if r.error]
+    assert [(r.n, r.measured, r.match) for r in failed] == [(7, -1, False)]
+    assert "RuntimeError: boom" in failed[0].error
+    assert strip([r for r in rows if not r.error]) == strip([r for r in serial if r.n != 7])
 
 
 def test_csv_report_columns_and_values():
@@ -241,6 +313,14 @@ def test_bounds_hold_on_the_extended_grid():
     rows = run_sweep(m_range=(3, 7), n_range=(3, 7))
     sound = [r for r in rows if r.entry_id not in KNOWN_DEFECT_IDS]
     assert all(r.match for r in sound), [r for r in sound if not r.match]
+    golden = (Path(__file__).parent / "verify_grid_3to7.csv").read_text()
+    assert golden_columns(rows) == golden
+
+
+@pytest.mark.slow
+def test_batched_pool_reproduces_the_extended_grid():
+    # The same 1,152 cells at --jobs 2 go to the pool in contiguous batches.
+    rows = run_sweep(m_range=(3, 7), n_range=(3, 7), jobs=2)
     golden = (Path(__file__).parent / "verify_grid_3to7.csv").read_text()
     assert golden_columns(rows) == golden
 

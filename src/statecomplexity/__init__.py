@@ -9,11 +9,8 @@ into an executable regression suite (see the `verify` CLI subcommand).
 
 from .algebra import SemigroupClosure, syntactic_semigroup_size, transition_semigroup
 from .atoms import (
-    EmptyAtomError,
     atom_complexities,
-    atom_complexity,
     atom_dfa,
-    atom_exists,
     atom_formula,
     atoms,
 )
@@ -56,7 +53,6 @@ from .bounds import (
     run_sweep,
 )
 from .witnesses import (
-    UNDEFINED,
     DialectSpec,
     WitnessClass,
     apply_dialect,

@@ -16,6 +16,7 @@ from typing import Iterable
 
 from .automata import (
     Dfa,
+    _walked_dfa,
     bits,
     components,
     minimize,
@@ -25,10 +26,6 @@ from .automata import (
     walk,
 )
 from .witnesses import WitnessClass
-
-
-class EmptyAtomError(ValueError):
-    """Raised when a complexity is requested for a profile with no words."""
 
 
 def _profile(s: Iterable[int], n: int) -> frozenset[int]:
@@ -65,12 +62,11 @@ def _pair_automaton(d: Dfa, profiles: Iterable[Iterable[int]]) -> Dfa:
     full = (1 << d.state_count) - 1
     starts = (bits(_profile(s, d.state_count)) for s in profiles)
     keys, rows = walk(len(d.alphabet), ((x, full & ~x) for x in starts), step)
-    return Dfa(
-        state_count=len(keys),
-        alphabet=d.alphabet,
-        delta=tuple(map(tuple, rows)),
-        initial=0,
-        finals=frozenset(
+    return _walked_dfa(
+        len(keys),
+        d.alphabet,
+        tuple(map(tuple, rows)),
+        frozenset(
             i
             for i, pair in enumerate(keys)
             if pair is not dead and not pair[0] & ~finals and not pair[1] & finals
@@ -84,15 +80,10 @@ def atom_dfa(d: Dfa, s: Iterable[int]) -> Dfa:
     The input must be minimal over its language's alphabet. The result is
     minimized but deliberately not alphabet-trimmed any further: atoms are
     read as languages over the same alphabet as the input. An atom with no
-    words comes back as the one-state dead DFA.
+    words comes back as the one-state dead DFA, so S is realized iff the
+    result has a final state.
     """
     return minimize(_pair_automaton(d, [s]))
-
-
-def atom_exists(d: Dfa, s: Iterable[int]) -> bool:
-    """True iff some word has exactly the profile S."""
-    pairs = _pair_automaton(d, [s])
-    return bool(pairs.finals)  # every state of a one-start pair walk is reachable
 
 
 def atom_complexities(d: Dfa, profiles: Iterable[Iterable[int]]) -> list[int]:
@@ -142,19 +133,6 @@ def atoms(d: Dfa) -> list[frozenset[int]]:
     return [
         frozenset(q for q in range(d.state_count) if mask >> q & 1) for mask in sorted(profiles)
     ]
-
-
-def atom_complexity(d: Dfa, s: Iterable[int]) -> int:
-    """Quotient complexity of the atom named by S.
-
-    Raising on an empty atom keeps "no such atom" distinct from the
-    one-state complexity of an actual language.
-    """
-    s = frozenset(s)
-    a = atom_dfa(d, s)
-    if not a.finals:
-        raise EmptyAtomError(f"no word has profile {sorted(s)!r}")
-    return a.state_count
 
 
 def _require_witness(witness_class: WitnessClass, n: int) -> None:

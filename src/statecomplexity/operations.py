@@ -67,12 +67,11 @@ class OpResult:
 
     dfa: Dfa
     kappa: int
-    combined_alphabet: tuple[str, ...]
 
 
-def _finish(d: Dfa, combined: tuple[str, ...]) -> OpResult:
+def _finish(d: Dfa) -> OpResult:
     trimmed = trim_alphabet(d)
-    return OpResult(dfa=trimmed, kappa=trimmed.state_count, combined_alphabet=combined)
+    return OpResult(dfa=trimmed, kappa=trimmed.state_count)
 
 
 def _moves(d: Dfa, alphabet: tuple[str, ...], offset: int = 0, link: int = 0) -> list[list[int]]:
@@ -111,7 +110,7 @@ def product(lhs: Dfa, rhs: Dfa) -> OpResult:
     start = 1 << lhs.initial | (enter_rhs if lhs.initial in lhs.finals else 0)
     right_finals = bits(offset + f for f in rhs.finals)
     subsets = determinize(combined, start, subset_step(masks), lambda s: s & right_finals)
-    return _finish(subsets, combined)
+    return _finish(subsets)
 
 
 def boolean(op: BooleanOp, lhs: Dfa, rhs: Dfa) -> OpResult:
@@ -137,7 +136,7 @@ def boolean(op: BooleanOp, lhs: Dfa, rhs: Dfa) -> OpResult:
         subset_step(masks),
         lambda s: op.holds(bool(s & left_finals), bool(s & right_finals)),
     )
-    return _finish(subsets, combined)
+    return _finish(subsets)
 
 
 def complement(d: Dfa, universe: tuple[str, ...] | str) -> OpResult:
@@ -153,7 +152,7 @@ def complement(d: Dfa, universe: tuple[str, ...] | str) -> OpResult:
     subsets = determinize(
         universe, 1 << d.initial, subset_step(_moves(d, universe)), lambda s: not s & finals
     )
-    return _finish(subsets, universe)
+    return _finish(subsets)
 
 
 def star(d: Dfa) -> OpResult:
@@ -172,7 +171,7 @@ def star(d: Dfa) -> OpResult:
     subsets = determinize(
         d.alphabet, 1 << fresh | restart, subset_step(masks), lambda s: s & accepting
     )
-    return _finish(subsets, d.alphabet)
+    return _finish(subsets)
 
 
 def reverse(d: Dfa) -> OpResult:
@@ -183,7 +182,7 @@ def reverse(d: Dfa) -> OpResult:
     subsets = determinize(
         d.alphabet, bits(d.finals), reversal_step(d), lambda s: s >> d.initial & 1
     )
-    return _finish(subsets, d.alphabet)
+    return _finish(subsets)
 
 
 def universal_dfa(alphabet: tuple[str, ...] | str) -> Dfa:

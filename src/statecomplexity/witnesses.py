@@ -16,8 +16,6 @@ from typing import Iterable, Optional
 
 from .automata import Dfa, make_alphabet
 
-UNDEFINED = None  # dialect target for a dropped letter
-
 
 def _identity(n: int) -> tuple[int, ...]:
     return tuple(range(n))
@@ -123,19 +121,15 @@ class DialectSpec:
     """Partial permutation of a witness alphabet, aligned entry by entry.
 
     Entry i gives the new name of letter i of the canonical alphabet, or
-    UNDEFINED when that letter (and its transformation) is dropped.
+    None when that letter (and its transformation) is dropped.
     Defined targets must be pairwise distinct.
     """
 
     targets: tuple[Optional[str], ...]
 
     def __post_init__(self) -> None:
-        defined = [t for t in self.targets if t is not UNDEFINED]
+        defined = [t for t in self.targets if t is not None]
         make_alphabet(defined)
-
-    @staticmethod
-    def identity(size: int) -> "DialectSpec":
-        return DialectSpec(tuple(ascii_lowercase[:size]))
 
 
 def parse_dialect(text: str) -> DialectSpec:
@@ -144,7 +138,7 @@ def parse_dialect(text: str) -> DialectSpec:
     targets: list[Optional[str]] = []
     for tok in tokens:
         if tok == "-":
-            targets.append(UNDEFINED)
+            targets.append(None)
         elif len(tok) == 1 and "a" <= tok <= "z":
             targets.append(tok)
         else:
@@ -165,11 +159,11 @@ def apply_dialect(d: Dfa, spec: DialectSpec) -> Dfa:
         raise ValueError(
             f"dialect has {len(spec.targets)} entries for alphabet of size {len(d.alphabet)}"
         )
-    padded = spec.targets + (UNDEFINED,) * (len(d.alphabet) - len(spec.targets))
+    padded = spec.targets + (None,) * (len(d.alphabet) - len(spec.targets))
     renamed = [
         (target, t)
         for target, t in zip(padded, d.delta)
-        if target is not UNDEFINED
+        if target is not None
     ]
     renamed.sort(key=lambda pair: pair[0])
     return replace(

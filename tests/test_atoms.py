@@ -4,13 +4,10 @@ import pytest
 
 from statecomplexity import (
     Dfa,
-    EmptyAtomError,
     WitnessClass,
     apply_dialect,
     atom_complexities,
-    atom_complexity,
     atom_dfa,
-    atom_exists,
     atom_formula,
     atoms,
     build_left_ideal,
@@ -83,24 +80,20 @@ def atom_dfa_via_monoid(d: Dfa, s: frozenset[int]) -> Dfa:
 
 
 def test_atom_of_empty_profile_regular():
-    assert atom_complexity(reg(3), frozenset()) == 2**3 - 1 == 7
+    assert atom_dfa(reg(3), frozenset()).state_count == 2**3 - 1 == 7
 
 
 def test_atom_of_singleton_profile_regular():
-    assert atom_complexity(reg(3), frozenset({0})) == 10
+    assert atom_dfa(reg(3), frozenset({0})).state_count == 10
     assert atom_formula(WitnessClass.REGULAR, 3, frozenset({0})) == 10
 
 
 def test_empty_atom_is_distinct_from_trivial():
     d = build_right_ideal(4)
     missing = frozenset({0})  # profiles without the absorbing final state are empty
-    assert not atom_exists(d, missing)
     a = atom_dfa(d, missing)
     assert a.state_count == 1 and not a.finals
-    with pytest.raises(EmptyAtomError):
-        atom_complexity(d, missing)
-    with pytest.raises(EmptyAtomError, match=r"profile \[0\]"):
-        atom_complexity(d, iter(missing))  # a one-shot iterable is named as given
+    assert atom_complexities(d, [missing]) == [1]
 
 
 def test_atom_counts_of_witnesses():
@@ -166,7 +159,7 @@ def test_shared_walk_edge_cases():
     assert atom_complexities(reg(3), []) == []
     tid = build_two_sided_ideal(5)
     missing = frozenset({0, 2, 3, 4})  # no word has this profile
-    assert not atom_exists(tid, missing)
+    assert not atom_dfa(tid, missing).finals
     assert atom_complexities(tid, [missing, range(5)]) == [1, 5]
     empty_alphabet = Dfa(3, (), (), 0, frozenset({0, 2}))
     profiles = [{0, 2}, {1}, set(), {0, 1, 2}]
@@ -256,11 +249,9 @@ def test_formula_rejects_unlisted_profiles():
     [
         lambda s: atom_formula(WitnessClass.REGULAR, 3, s),
         lambda s: atom_dfa(build_regular(3), s),
-        lambda s: atom_exists(build_regular(3), s),
-        lambda s: atom_complexity(build_regular(3), s),
         lambda s: atom_complexities(build_regular(3), [s]),
     ],
-    ids=["atom_formula", "atom_dfa", "atom_exists", "atom_complexity", "atom_complexities"],
+    ids=["atom_formula", "atom_dfa", "atom_complexities"],
 )
 def test_profiles_naming_no_state_are_rejected(call, profile):
     with pytest.raises(ValueError, match="not a state 0..2"):
@@ -311,7 +302,7 @@ def test_two_sided_atoms_realize_the_named_value_at_full_minus_initial():
     for n in (5, 6):
         d = build_two_sided_ideal(n)
         full = frozenset(range(n))
-        assert not atom_exists(d, full - {1})
+        assert not atom_dfa(d, full - {1}).finals
         assert atom_dfa(d, full - {0}).state_count == 2 ** (n - 2) + n - 1
         assert atom_dfa(d, full).state_count == n
         for s in atoms(d):

@@ -1,6 +1,11 @@
 from __future__ import annotations
 
+import contextlib
+import importlib
+import importlib.util
+import io
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -19,3 +24,48 @@ def test_demo_runs(demo):
         [sys.executable, str(demo)], capture_output=True, text=True, env=env, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def _load_spans():
+    spec = importlib.util.spec_from_file_location("bench_spans", ROOT / "bench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans
+
+
+_SPANS = _load_spans()
+
+
+@pytest.mark.parametrize(
+    "module, attr",
+    [(module, attr) for _, module, attr, _ in _SPANS.TRACED_FUNCTIONS],
+    ids=lambda value: value,
+)
+def test_benchmark_traced_function_exists(module, attr):
+    # bench/spans.py patches these by name; a missing one crashes --trace 1.
+    holder = importlib.import_module(f"{_SPANS.PACKAGE}.{module}")
+    assert callable(getattr(holder, attr))
+
+
+@pytest.mark.parametrize(
+    "module, cls, method",
+    [(module, cls, method) for _, module, cls, method in _SPANS.TRACED_METHODS],
+    ids=lambda value: value,
+)
+def test_benchmark_traced_method_exists(module, cls, method):
+    holder = importlib.import_module(f"{_SPANS.PACKAGE}.{module}")
+    assert callable(getattr(getattr(holder, cls), method))
+
+
+def test_readme_library_examples_print_their_comments():
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Library in one look", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"```python\n(.*?)```", section, re.S)
+    assert len(blocks) == 2
+    printed = []
+    for block in blocks:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            exec(compile(block, "README.md", "exec"), {})
+        printed += out.getvalue().split()
+    assert printed == ["28", "16", "2"]

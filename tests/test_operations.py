@@ -63,7 +63,7 @@ def single_a():
 def test_product_unrestricted_bound_at_33():
     r = product(reg(3, "a,b,-,c"), reg(3, "b,a,-,d"))
     assert r.kappa == 3 * 2**3 + 2**2 == 28
-    assert r.combined_alphabet == ("a", "b", "c", "d")
+    assert r.dfa.alphabet == ("a", "b", "c", "d")
 
 
 def test_product_restricted_bound_at_33():
@@ -251,7 +251,7 @@ def test_complement_needs_a_large_enough_universe():
 
 def test_complement_keeps_the_universe_order():
     r = complement(fig_ends_in_b(), "zba")
-    assert r.dfa.alphabet == r.combined_alphabet == ("z", "b", "a")
+    assert r.dfa.alphabet == ("z", "b", "a")
 
 
 # --- star --------------------------------------------------------------------------
@@ -357,7 +357,7 @@ def test_universal_language_absorbs_itself():
 def test_boolean_over_disjoint_singletons():
     # Union over fully disjoint alphabets empties each operand's part in turn.
     r = boolean(BooleanOp.UNION, astar(), universal_dfa("b"))
-    assert r.combined_alphabet == ("a", "b")
+    assert r.dfa.alphabet == ("a", "b")
     assert word_in(r.dfa, "")  # epsilon is in both operands
 
 

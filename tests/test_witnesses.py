@@ -161,7 +161,7 @@ def test_dialect_relabels_identity_letter():
 
 def test_identity_dialect_is_isomorphic():
     d = build_regular(4)
-    assert is_isomorphic(apply_dialect(d, DialectSpec.identity(4)), d)
+    assert is_isomorphic(apply_dialect(d, parse_dialect("a,b,c,d")), d)
 
 
 def test_swap_dialect_swaps_roles(rng):

@@ -237,18 +237,26 @@ def subset_step(masks: Sequence[Sequence[int]]) -> Callable[[int], list[int]]:
 
     `masks[k][q]` is the bitmask of states that state q reaches on letter
     k (empty-word moves already included); a subset goes to the union
-    over its members.
+    over its members. State q's images on all k letters are packed side
+    by side into one int, letter k at bits k·width.., so a subset's step
+    is one OR per member and one shift-and-mask per letter.
     """
+    if not masks:  # no letters: no successors, and no row to size a lane
+        return lambda subset: []
+    width = len(masks[0])
+    shifts = [k * width for k in range(len(masks))]
+    packed = masks[0]
+    for shift, row in zip(shifts[1:], masks[1:]):
+        packed = [p | m << shift for p, m in zip(packed, row)]
+    full = (1 << width) - 1
 
     def step(subset: int) -> list[int]:
-        images = [0] * len(masks)
+        union = 0
         while subset:
             low = subset & -subset
-            q = low.bit_length() - 1
-            for k, row in enumerate(masks):
-                images[k] |= row[q]
+            union |= packed[low.bit_length() - 1]
             subset ^= low
-        return images
+        return [union >> shift & full for shift in shifts]
 
     return step
 
@@ -381,16 +389,21 @@ def restrict_alphabet(d: Dfa, letters: Iterable[str]) -> Dfa:
 def trim_alphabet(d: Dfa) -> Dfa:
     """Minimal DFA of the language over the language's own alphabet.
 
+    The empty language and {epsilon} both trim to a single state over the
+    empty alphabet, so the quotient complexity of either is 1.
+    """
+    return _trim_minimal(minimize(d))
+
+
+def _trim_minimal(m: Dfa) -> Dfa:
+    """`trim_alphabet` of a DFA that is already minimal.
+
     The letters are read off the minimal DFA, where every state is
     reachable and the empty-language state, if any, is the one non-final
     state that every letter fixes. A letter occurs in an accepted word
     iff it sends some state to a live one. Dropping the other letters
     changes no state's language, so the second minimize only renumbers.
-
-    The empty language and {epsilon} both trim to a single state over the
-    empty alphabet, so the quotient complexity of either is 1.
     """
-    m = minimize(d)
     fixed = (q for q in range(m.state_count) if all(row[q] == q for row in m.delta))
     dead = next((q for q in fixed if q not in m.finals), None)
     useful = [a for a, row in zip(m.alphabet, m.delta) if any(q != dead for q in row)]

@@ -46,6 +46,13 @@ def _parse_int(token: str, line_no: int, what: str) -> int:
         raise DfaParseError(line_no, f"{what} {token!r} is not an integer") from None
 
 
+def _parse_ints(tokens: list[str], line_no: int, what: str) -> tuple[int, ...]:
+    try:
+        return tuple(map(int, tokens))
+    except ValueError:  # rescan, to name the first bad token
+        return tuple(_parse_int(tok, line_no, what) for tok in tokens)
+
+
 def parse_dfa(text: str) -> Dfa:
     state_count = None
     alphabet: tuple[str, ...] | None = None
@@ -83,14 +90,14 @@ def parse_dfa(text: str) -> Dfa:
                 raise DfaParseError(line_no, "expected: initial <state>")
             initial = _parse_int(args[0], line_no, "initial state")
         elif keyword == "final":
-            finals = frozenset(_parse_int(tok, line_no, "final state") for tok in args)
+            finals = frozenset(_parse_ints(args, line_no, "final state"))
         elif keyword == "row":
             if not args:
                 raise DfaParseError(line_no, "expected: row <letter> <images...>")
             letter = args[0]
             if letter in rows:
                 raise DfaParseError(line_no, f"duplicate row for letter {letter!r}")
-            rows[letter] = tuple(_parse_int(tok, line_no, "image") for tok in args[1:])
+            rows[letter] = _parse_ints(args[1:], line_no, "image")
             row_lines[letter] = line_no
         else:
             raise DfaParseError(line_no, f"unknown keyword {keyword!r}")
@@ -116,7 +123,7 @@ def parse_dfa(text: str) -> Dfa:
                 row_lines[letter],
                 f"row {letter!r} lists {len(images)} images for {state_count} states",
             )
-        if any(not 0 <= q < state_count for q in images):
+        if min(images) < 0 or max(images) >= state_count:
             raise DfaParseError(row_lines[letter], f"row {letter!r} has an image out of range")
         delta.append(images)
     try:

@@ -7,9 +7,11 @@ at their own bits, and a letter an operand lacks empties that operand's
 part of the subset, which stands for its empty quotient. So product,
 star, the boolean operations and complement share one mechanism, and
 complement always means complement with respect to the universe the
-walk reads; reversal walks preimages instead. Every result is minimized,
+walk reads; reversal walks preimages instead. Every result is minimal,
 trimmed to the alphabet of the result language, and reported with its
-quotient complexity.
+quotient complexity. Each walk is minimized after it, except reversal's:
+its operand is minimized first, and the preimage walk of a minimal DFA
+is minimal by Brzozowski's theorem, so it is not refined.
 
 Two languages are equal iff `trim_alphabet` gives the same DFA for both
 over the same letter order (minimize is canonical), as `_is_ideal` does.
@@ -22,6 +24,7 @@ from enum import Enum
 
 from .automata import (
     Dfa,
+    _trim_minimal,
     bits,
     determinize,
     make_alphabet,
@@ -177,12 +180,18 @@ def star(d: Dfa) -> OpResult:
 def reverse(d: Dfa) -> OpResult:
     """Reversal: the preimage subset walk from the final states.
 
-    A subset is final iff it holds the initial state.
+    A subset is final iff it holds the initial state. The operand is
+    minimized first, which makes it accessible; the preimage walk of an
+    accessible DFA is then minimal (Brzozowski, 1962) and numbered from
+    its start like `minimize`'s output, so it is not refined again.
+    Only its letters are trimmed.
     """
+    d = minimize(d)
     subsets = determinize(
         d.alphabet, bits(d.finals), reversal_step(d), lambda s: s >> d.initial & 1
     )
-    return _finish(subsets)
+    trimmed = _trim_minimal(subsets)
+    return OpResult(dfa=trimmed, kappa=trimmed.state_count)
 
 
 def universal_dfa(alphabet: tuple[str, ...] | str) -> Dfa:

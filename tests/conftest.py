@@ -142,6 +142,26 @@ def brzozowski_minimize(d: Dfa) -> Dfa:
     return _reverse_determinize(_reverse_determinize(d))
 
 
+def subset_step_oracle(masks):
+    """Per-letter subset step; an oracle against the packed `subset_step`.
+
+    Each member of a subset ORs its mask on every letter into that
+    letter's image, one letter at a time.
+    """
+
+    def step(subset: int) -> list[int]:
+        images = [0] * len(masks)
+        while subset:
+            low = subset & -subset
+            q = low.bit_length() - 1
+            for k, row in enumerate(masks):
+                images[k] |= row[q]
+            subset ^= low
+        return images
+
+    return step
+
+
 def moore_classes(d: Dfa) -> list[int]:
     """Moore's refinement; an oracle against `nerode_classes`.
 

@@ -39,6 +39,7 @@ from conftest import (
     random_dfa,
     random_dfa_over,
     random_word,
+    subset_step_oracle,
     word_in,
 )
 
@@ -126,6 +127,31 @@ def test_determinize_has_no_unreachable_states(rng):
         assert len(reached) == subset.state_count
 
 
+@pytest.mark.parametrize(
+    "masks",
+    [[], [[]], [[], []], [[0]], [[1], [0], [1]], [[0, 0, 0], [0, 0, 0]]],
+    ids=["no-letters", "width-0", "width-0-two-letters", "width-1-empty", "width-1", "all-zero"],
+)
+def test_subset_step_edge_cases_match_the_oracle(masks):
+    width = len(masks[0]) if masks else 5
+    for subset in range(1 << width):
+        assert subset_step(masks)(subset) == subset_step_oracle(masks)(subset)
+
+
+def test_subset_step_matches_the_per_letter_oracle(rng):
+    for _ in range(300):
+        width = rng.randint(0, 70)
+        k = rng.randint(0, 4)
+        masks = [
+            [rng.getrandbits(width) if rng.random() < 0.8 else 0 for _ in range(width)]
+            for _ in range(k)
+        ]
+        step, oracle = subset_step(masks), subset_step_oracle(masks)
+        full = (1 << width) - 1
+        for subset in (0, full, *(rng.getrandbits(width) for _ in range(10))):
+            assert step(subset) == oracle(subset)
+
+
 def test_walk_numbers_its_starts_first_in_order_and_merges_duplicates():
     keys, rows = walk(1, [5, 2, 5, 0], lambda k: [(k + 1) % 6])
     assert keys == [5, 2, 0, 3, 1, 4]
@@ -202,6 +228,26 @@ def test_dfa_rejects_out_of_range_image():
     for row in ((0, 3, 1), (0, -1, 1)):
         with pytest.raises(ValueError):
             Dfa(3, ("a",), (row,), 0, frozenset())
+
+
+@pytest.mark.parametrize(
+    "bad_row, message",
+    [
+        ((0, True, 1), "row for 'b' has image True, not a state 0..2"),
+        ((0, -1, 7), "row for 'b' has image -1, not a state 0..2"),
+        ((0, 3, -1), "row for 'b' has image 3, not a state 0..2"),
+        ((0, 1.0, 9), "row for 'b' has image 1.0, not a state 0..2"),
+        ((0, 5, "1"), "row for 'b' has image 5, not a state 0..2"),
+        ((0, 2, "1"), "row for 'b' has image '1', not a state 0..2"),
+    ],
+    ids=["bool", "negative", "out-of-range", "float", "range-before-type", "str"],
+)
+def test_dfa_image_error_names_the_first_bad_entry(bad_row, message):
+    # The first row is valid; the message names the first bad entry of
+    # the second row, whatever follows it.
+    with pytest.raises(ValueError) as err:
+        Dfa(3, ("a", "b"), ((0, 1, 2), bad_row), 0, frozenset())
+    assert str(err.value) == message
 
 
 # --- minimize and the double-reversal oracle --------------------------------

@@ -155,3 +155,24 @@ def test_non_integer_image_rejected():
     bad = ENDS_IN_B_FILE.replace("row b 1 1", "row b 1 x")
     with pytest.raises(DfaParseError, match="not an integer"):
         parse_dfa(bad)
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("row b 1 x", "line 6: image 'x' is not an integer"),
+        ("row b 7 1.5", "line 6: image '1.5' is not an integer"),
+        ("row b y x", "line 6: image 'y' is not an integer"),
+        ("row b 1 2", "line 6: row 'b' has an image out of range"),
+        ("row b -1 0", "line 6: row 'b' has an image out of range"),
+        ("final 1 x", "line 4: final state 'x' is not an integer"),
+        ("final 7 y 1.5", "line 4: final state 'y' is not an integer"),
+    ],
+)
+def test_integer_list_error_messages(line, message):
+    # A bad token is named even when an earlier one is out of range.
+    keyword = line.split()[0]
+    old = "row b 1 1" if keyword == "row" else "final 1"
+    with pytest.raises(DfaParseError) as err:
+        parse_dfa(ENDS_IN_B_FILE.replace(old, line))
+    assert str(err.value) == message

@@ -8,12 +8,14 @@ import pytest
 from statecomplexity import (
     BooleanOp,
     Dfa,
+    WitnessClass,
     apply_dialect,
     boolean,
     build_left_ideal,
     build_regular,
     build_right_ideal,
     complement,
+    determinize,
     minimize,
     parse_dialect,
     product,
@@ -24,6 +26,7 @@ from statecomplexity import (
     union_alphabets,
     universal_dfa,
 )
+from statecomplexity.automata import bits, reversal_step
 
 from conftest import (
     complete_over,
@@ -385,12 +388,32 @@ def test_ideal_predicates_on_edge_cases():
 
 
 def test_reverse_subset_automaton_size():
-    from statecomplexity import determinize
-    from statecomplexity.automata import bits, reversal_step
-
     # The preimage walk of the 3-state witness reaches all 8 subsets.
     d = reg(3, "a,b,c")
     assert determinize(d.alphabet, bits(d.finals), reversal_step(d), bool).state_count == 8
+
+
+def raw_reversal_walk(d: Dfa) -> Dfa:
+    """The preimage subset walk of `d` itself, neither minimized nor trimmed."""
+    return determinize(d.alphabet, bits(d.finals), reversal_step(d), lambda s: s >> d.initial & 1)
+
+
+def test_reverse_is_the_trimmed_raw_walk_on_non_accessible_dfas():
+    # reverse walks the minimized operand and refines nothing after; any
+    # initial state leaves states unreachable, which that must not change.
+    rng = random.Random(2024)
+    for _ in range(2000):
+        d = random_dfa_over(rng, sorted(rng.sample("abc", rng.randint(0, 3))), rng.randint(1, 7))
+        assert reverse(d).dfa == trim_alphabet(raw_reversal_walk(d)), d
+
+
+@pytest.mark.parametrize("witness", list(WitnessClass))
+def test_reversal_walk_of_a_minimal_witness_is_minimal(witness):
+    # Brzozowski: the preimage walk of an accessible DFA is minimal, and
+    # numbered from its start, so minimize returns it unchanged.
+    for n in range(witness.min_n, 12):
+        walked = raw_reversal_walk(minimize(witness.build(n)))
+        assert minimize(walked) == walked, n
 
 
 # --- results built without re-validation -----------------------------------------------

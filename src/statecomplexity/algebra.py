@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from functools import cache
 from typing import AbstractSet, Iterator, Optional
 
-from .automata import CapacityError, Dfa, bits, components, subset_step, trim_alphabet, walk
+from .automata import CapacityError, Dfa, bits, components, subset_walk, trim_alphabet
 
 MAX_SEMIGROUP_ELEMENTS = 10**7
 
@@ -118,9 +118,7 @@ def syntactic_semigroup_size(d: Dfa) -> int:
     pad = bytes(range(n, 256))
     letters = [bytes(row) for row in d.delta]
     tables = [g + pad for g in letters]
-    images, rows = walk(
-        len(letters), ((1 << n) - 1,), subset_step([[1 << q for q in row] for row in d.delta])
-    )
+    images, rows = subset_walk((1 << n) - 1, [[1 << q for q in row] for row in d.delta])
     position = {image: v for v, image in enumerate(images)}
     comp = components([[row[v] for row in rows] for v in range(len(images))])
     roots: dict[int, int] = {}

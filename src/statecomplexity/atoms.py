@@ -16,13 +16,14 @@ from typing import Iterable
 
 from .automata import (
     Dfa,
-    _walked_dfa,
+    _unchecked_dfa,
     bits,
     components,
     minimize,
     nerode_classes,
-    reversal_step,
+    preimage_masks,
     subset_step,
+    subset_walk,
     walk,
 )
 from .witnesses import WitnessClass
@@ -62,10 +63,11 @@ def _pair_automaton(d: Dfa, profiles: Iterable[Iterable[int]]) -> Dfa:
     full = (1 << d.state_count) - 1
     starts = (bits(_profile(s, d.state_count)) for s in profiles)
     keys, rows = walk(len(d.alphabet), ((x, full & ~x) for x in starts), step)
-    return _walked_dfa(
+    return _unchecked_dfa(
         len(keys),
         d.alphabet,
         tuple(map(tuple, rows)),
+        0,
         frozenset(
             i
             for i, pair in enumerate(keys)
@@ -129,7 +131,7 @@ def atoms(d: Dfa) -> list[frozenset[int]]:
     reversal's subset walk, which keeps the enumeration proportional to
     the number of atoms rather than to 2^n.
     """
-    profiles, _ = walk(len(d.alphabet), (bits(d.finals),), reversal_step(d))
+    profiles, _ = subset_walk(bits(d.finals), preimage_masks(d))
     return [
         frozenset(q for q in range(d.state_count) if mask >> q & 1) for mask in sorted(profiles)
     ]

@@ -45,8 +45,9 @@ class Dfa:
     is a tuple of ints whose entry q is the image of state q, so
     completeness is structural rather than checked per word. This
     constructor is the one place rows are checked: everything built from
-    checked rows stays in range without further checks, so `determinize`
-    builds its walk's result without repeating them.
+    checked rows stays in range without further checks, so the walks,
+    `minimize` and `parse_dfa` build their results with `_unchecked_dfa`
+    instead.
     """
 
     state_count: int
@@ -115,6 +116,8 @@ def walk(
     and every other key in the order the walk first reaches it, so the
     numbering is canonical. Returns the keys in that order and, per
     letter, the row mapping each key's number to its successor's number.
+    Subset walks use `subset_walk`, which runs the same numbering with its
+    step inline; this serves keys that are not subsets.
     """
     keys = list(dict.fromkeys(starts))
     index = {key: number for number, key in enumerate(keys)}
@@ -133,47 +136,99 @@ def walk(
     return keys, rows
 
 
+def _pack(masks: Sequence[Sequence[int]]) -> tuple[Sequence[int], int]:
+    """Entry q holds `masks[k][q]` at bits k·width.. for every letter k.
+
+    Built with one list comprehension per letter after the first; returns
+    the packed ints and the lane width, the number of states.
+    """
+    width = len(masks[0])
+    packed = masks[0]
+    for k, row in enumerate(masks[1:], 1):
+        packed = [p | m << k * width for p, m in zip(packed, row)]
+    return packed, width
+
+
+def subset_walk(start: int, masks: Sequence[Sequence[int]]) -> tuple[list[int], list[list[int]]]:
+    """`walk` from one subset of states, the subsets as int bitmasks.
+
+    `masks[k][q]` is the bitmask of states that state q reaches on letter
+    k (empty-word moves already included); a subset goes to the union
+    over its members. State q's images on all k letters are packed side
+    by side into one int, letter k at bits k·width.., so a subset's step
+    is one OR per member and one shift-and-mask per letter, run inline.
+    """
+    keys = [start]
+    if not masks:  # no letters: no successors, and no row to size a lane
+        return keys, []
+    packed, width = _pack(masks)
+    full = (1 << width) - 1
+    rows: list[list[int]] = [[] for _ in masks]
+    lanes = [(row, k * width) for k, row in enumerate(rows)]
+    index = {start: 0}
+    cap = MAX_SUBSET_STATES
+    for subset in keys:  # keys grows while it is read: it is the BFS queue
+        union = 0
+        while subset:
+            low = subset & -subset
+            union |= packed[low.bit_length() - 1]
+            subset ^= low
+        for row, shift in lanes:
+            image = union >> shift & full
+            number = index.get(image)
+            if number is None:
+                if len(keys) >= cap:
+                    raise CapacityError(f"subset construction exceeded {cap} states")
+                number = index[image] = len(keys)
+                keys.append(image)
+            row.append(number)
+    return keys, rows
+
+
 def determinize(
     alphabet: tuple[str, ...],
-    start: Hashable,
-    step: Callable[[Hashable], Sequence[Hashable]],
-    accepting: Callable[[Hashable], bool],
+    start: int,
+    masks: Sequence[Sequence[int]],
+    accepting: Callable[[int], bool],
 ) -> Dfa:
-    """The DFA of the keys reachable from `start`, numbered canonically.
+    """The DFA of the subsets reachable from `start`, numbered canonically.
 
-    Every construction here is such a walk: subsets of states as int
-    bitmasks (see `subset_step`), pairs of states, or minimize's classes.
-    A key is a final state iff `accepting(key)`. The alphabet and the
-    number of successors `step` lists are checked here; the walk numbers
-    every row entry itself, so the entries are not checked again.
+    Every subset construction here is such a walk (see `subset_walk`):
+    `masks` holds one row per letter, and a subset is a final state iff
+    `accepting(subset)`. The alphabet and the mask rows are checked here;
+    the walk numbers every row entry itself, so the entries are not
+    checked again.
     """
     alphabet = make_alphabet(alphabet)
-    keys, rows = walk(len(alphabet), (start,), step)
-    if any(len(row) != len(keys) for row in rows):
-        raise ValueError(f"step must list one successor per letter of {alphabet!r}")
-    return _walked_dfa(
+    if len(masks) != len(alphabet) or len({len(row) for row in masks}) > 1:
+        raise ValueError(f"masks must hold one row per letter of {alphabet!r}, all as wide")
+    keys, rows = subset_walk(start, masks)
+    return _unchecked_dfa(
         len(keys),
         alphabet,
         tuple(map(tuple, rows)),
+        0,
         frozenset(i for i, key in enumerate(keys) if accepting(key)),
     )
 
 
-def _walked_dfa(
+def _unchecked_dfa(
     state_count: int,
     alphabet: tuple[str, ...],
     delta: tuple[tuple[int, ...], ...],
+    initial: int,
     finals: frozenset[int],
 ) -> Dfa:
-    """A Dfa from initial state 0 over rows that `walk` has just numbered.
+    """A Dfa over fields its caller has already checked or built in range.
 
-    The walk numbers every row entry itself, so the checks of the public
-    constructor would only repeat it: this builds the frozen instance
-    without running `Dfa.__post_init__`.
+    A walk numbers every row entry itself, and `parse_dfa` checks each
+    field with line numbers, so the checks of the public constructor
+    would only repeat them: this builds the frozen instance without
+    running `Dfa.__post_init__`.
     """
     d = object.__new__(Dfa)
     d.__dict__.update(
-        state_count=state_count, alphabet=alphabet, delta=delta, initial=0, finals=finals
+        state_count=state_count, alphabet=alphabet, delta=delta, initial=initial, finals=finals
     )
     return d
 
@@ -233,21 +288,16 @@ def bits(states: Iterable[int]) -> int:
 
 
 def subset_step(masks: Sequence[Sequence[int]]) -> Callable[[int], list[int]]:
-    """Step of a subset walk whose subsets are int bitmasks.
+    """The step `subset_walk` runs inline, as a function of one subset.
 
-    `masks[k][q]` is the bitmask of states that state q reaches on letter
-    k (empty-word moves already included); a subset goes to the union
-    over its members. State q's images on all k letters are packed side
-    by side into one int, letter k at bits k·width.., so a subset's step
-    is one OR per member and one shift-and-mask per letter.
+    For walks whose keys are not subsets, such as the atom pair walk:
+    entry k of `step(subset)` is the union of `masks[k][q]` over the
+    members q, computed from the same packed ints.
     """
     if not masks:  # no letters: no successors, and no row to size a lane
         return lambda subset: []
-    width = len(masks[0])
+    packed, width = _pack(masks)
     shifts = [k * width for k in range(len(masks))]
-    packed = masks[0]
-    for shift, row in zip(shifts[1:], masks[1:]):
-        packed = [p | m << shift for p, m in zip(packed, row)]
     full = (1 << width) - 1
 
     def step(subset: int) -> list[int]:
@@ -261,13 +311,13 @@ def subset_step(masks: Sequence[Sequence[int]]) -> Callable[[int], list[int]]:
     return step
 
 
-def reversal_step(d: Dfa) -> Callable[[int], list[int]]:
-    """Subset step of the reversed DFA: each subset goes to its preimage."""
+def preimage_masks(d: Dfa) -> list[list[int]]:
+    """Masks of the reversed DFA's subset walk: each state's preimages."""
     masks = [[0] * d.state_count for _ in d.delta]
     for preimages, row in zip(masks, d.delta):
         for p, q in enumerate(row):
             preimages[q] |= 1 << p
-    return subset_step(masks)
+    return masks
 
 
 def nerode_classes(d: Dfa) -> list[int]:
@@ -356,25 +406,40 @@ def nerode_classes(d: Dfa) -> list[int]:
 def minimize(d: Dfa) -> Dfa:
     """Minimal DFA for the same language over the same alphabet.
 
-    The quotient automaton of `nerode_classes` is walked from the initial
-    class, which leaves out unreachable classes, so two equal languages
-    over equal alphabets yield identical (not merely isomorphic) results.
+    The classes of `nerode_classes` are numbered breadth-first from the
+    initial class, letters in alphabet order, as `walk` numbers its keys;
+    unreachable classes are left out. So two equal languages over equal
+    alphabets yield identical (not merely isomorphic) results, and an
+    input that is already minimal and numbered that way is returned as it
+    is: each of its classes is one state, renumbered to itself.
     """
     if not d.alphabet:
         # Nothing to refine; a huge declared state count allocates nothing.
         return Dfa(1, (), (), 0, frozenset({0}) if d.initial in d.finals else frozenset())
     cls = nerode_classes(d)
-    rep = [0] * (max(cls) + 1)  # any member stands for its class
+    count = max(cls) + 1
+    rep = [0] * count  # any member stands for its class
     for q, c in enumerate(cls):
         rep[c] = q
-    # Each class's successors and finality are read off its member once,
-    # so the walk's step is a list lookup.
     images = [[cls[row[q]] for q in rep] for row in d.delta]
-    return determinize(
+    start = cls[d.initial]
+    order = [start]  # the classes in breadth-first order: the BFS queue
+    number = [-1] * count  # entry c is the new number of class c, or -1
+    number[start] = 0
+    for c in order:
+        for image in images:
+            t = image[c]
+            if number[t] < 0:
+                number[t] = len(order)
+                order.append(t)
+    if count == d.state_count and order == cls:
+        return d  # every state its own class, numbered as the walk numbers it
+    return _unchecked_dfa(
+        len(order),
         d.alphabet,
-        cls[d.initial],
-        list(zip(*images)).__getitem__,
-        [q in d.finals for q in rep].__getitem__,
+        tuple(tuple([number[image[c]] for c in order]) for image in images),
+        0,
+        frozenset(number[cls[q]] for q in d.finals) - {-1},  # -1: an unreached class
     )
 
 
@@ -404,7 +469,9 @@ def _trim_minimal(m: Dfa) -> Dfa:
     iff it sends some state to a live one. Dropping the other letters
     changes no state's language, so the second minimize only renumbers.
     """
-    fixed = (q for q in range(m.state_count) if all(row[q] == q for row in m.delta))
+    fixed = range(m.state_count)
+    for row in m.delta:
+        fixed = [q for q in fixed if row[q] == q]
     dead = next((q for q in fixed if q not in m.finals), None)
     useful = [a for a, row in zip(m.alphabet, m.delta) if any(q != dead for q in row)]
     if len(useful) == len(m.alphabet):

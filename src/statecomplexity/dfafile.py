@@ -18,7 +18,7 @@ so parse(render(d)) reproduces d bit for bit.
 
 from __future__ import annotations
 
-from .automata import Dfa, make_alphabet
+from .automata import Dfa, _unchecked_dfa, make_alphabet
 
 
 class DfaParseError(ValueError):
@@ -126,13 +126,5 @@ def parse_dfa(text: str) -> Dfa:
         if min(images) < 0 or max(images) >= state_count:
             raise DfaParseError(row_lines[letter], f"row {letter!r} has an image out of range")
         delta.append(images)
-    try:
-        return Dfa(
-            state_count=state_count,
-            alphabet=alphabet,
-            delta=tuple(delta),
-            initial=initial,
-            finals=finals,
-        )
-    except ValueError as exc:
-        raise DfaParseError(0, str(exc)) from None
+    # Every field is checked above, so the constructor's checks would repeat them.
+    return _unchecked_dfa(state_count, alphabet, tuple(delta), initial, finals)

@@ -29,8 +29,7 @@ from .automata import (
     determinize,
     make_alphabet,
     minimize,
-    reversal_step,
-    subset_step,
+    preimage_masks,
     trim_alphabet,
     union_alphabets,
 )
@@ -112,7 +111,7 @@ def product(lhs: Dfa, rhs: Dfa) -> OpResult:
     ]
     start = 1 << lhs.initial | (enter_rhs if lhs.initial in lhs.finals else 0)
     right_finals = bits(offset + f for f in rhs.finals)
-    subsets = determinize(combined, start, subset_step(masks), lambda s: s & right_finals)
+    subsets = determinize(combined, start, masks, lambda s: s & right_finals)
     return _finish(subsets)
 
 
@@ -136,7 +135,7 @@ def boolean(op: BooleanOp, lhs: Dfa, rhs: Dfa) -> OpResult:
     subsets = determinize(
         combined,
         1 << lhs.initial | 1 << (offset + rhs.initial),
-        subset_step(masks),
+        masks,
         lambda s: op.holds(bool(s & left_finals), bool(s & right_finals)),
     )
     return _finish(subsets)
@@ -153,7 +152,7 @@ def complement(d: Dfa, universe: tuple[str, ...] | str) -> OpResult:
         raise ValueError(f"target alphabet {universe!r} is missing letters of {d.alphabet!r}")
     finals = bits(d.finals)
     subsets = determinize(
-        universe, 1 << d.initial, subset_step(_moves(d, universe)), lambda s: not s & finals
+        universe, 1 << d.initial, _moves(d, universe), lambda s: not s & finals
     )
     return _finish(subsets)
 
@@ -171,9 +170,7 @@ def star(d: Dfa) -> OpResult:
     restart = 1 << d.initial
     masks = [row + [0] for row in _moves(d, d.alphabet, link=restart)]
     accepting = bits(d.finals) | 1 << fresh
-    subsets = determinize(
-        d.alphabet, 1 << fresh | restart, subset_step(masks), lambda s: s & accepting
-    )
+    subsets = determinize(d.alphabet, 1 << fresh | restart, masks, lambda s: s & accepting)
     return _finish(subsets)
 
 
@@ -188,7 +185,7 @@ def reverse(d: Dfa) -> OpResult:
     """
     d = minimize(d)
     subsets = determinize(
-        d.alphabet, bits(d.finals), reversal_step(d), lambda s: s >> d.initial & 1
+        d.alphabet, bits(d.finals), preimage_masks(d), lambda s: s >> d.initial & 1
     )
     trimmed = _trim_minimal(subsets)
     return OpResult(dfa=trimmed, kappa=trimmed.state_count)

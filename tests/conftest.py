@@ -9,7 +9,7 @@ from typing import Iterable
 
 import pytest
 
-from statecomplexity import BooleanOp, Dfa, determinize, make_alphabet, union_alphabets
+from statecomplexity import BooleanOp, Dfa, make_alphabet, union_alphabets
 
 
 def fig_ends_in_b() -> Dfa:
@@ -162,6 +162,28 @@ def subset_step_oracle(masks):
     return step
 
 
+def subset_walk_oracle(start: int, masks, cap: int) -> tuple[list[int], list[list[int]]] | None:
+    """Breadth-first subset walk over `subset_step_oracle`; an oracle
+    against `subset_walk`. Returns None once more than `cap` subsets are
+    reached, where the library raises `CapacityError`.
+    """
+    step = subset_step_oracle(masks)
+    index = {start: 0}
+    keys = [start]
+    rows: list[list[int]] = [[] for _ in masks]
+    queue = deque([start])
+    while queue:
+        for row, nxt in zip(rows, step(queue.popleft())):
+            if nxt not in index:
+                if len(keys) >= cap:
+                    return None
+                index[nxt] = len(keys)
+                keys.append(nxt)
+                queue.append(nxt)
+            row.append(index[nxt])
+    return keys, rows
+
+
 def moore_classes(d: Dfa) -> list[int]:
     """Moore's refinement; an oracle against `nerode_classes`.
 
@@ -183,18 +205,36 @@ def moore_classes(d: Dfa) -> list[int]:
 def moore_minimize(d: Dfa) -> Dfa:
     """`minimize` with Moore's refinement in place of Hopcroft's.
 
-    The quotient of `moore_classes` walked from the initial class; an
-    oracle that the refinement changes no result, not even a numbering.
+    The quotient of `moore_classes`, numbered by its own breadth-first
+    search from the initial class with letters in alphabet order; an
+    oracle that shares no walk with the library and checks that neither
+    the refinement nor the renumbering changes a result, not even a
+    numbering.
     """
     cls = moore_classes(d)
     rep: dict[int, int] = {}
     for q, c in enumerate(cls):
         rep.setdefault(c, q)
-    return determinize(
-        d.alphabet,
-        cls[d.initial],
-        lambda c: [cls[row[rep[c]]] for row in d.delta],
-        lambda c: rep[c] in d.finals,
+    start = cls[d.initial]
+    index = {start: 0}
+    order = [start]
+    rows: list[list[int]] = [[] for _ in d.alphabet]
+    queue = deque([start])
+    while queue:
+        c = queue.popleft()
+        for row, images in zip(rows, d.delta):
+            nxt = cls[images[rep[c]]]
+            if nxt not in index:
+                index[nxt] = len(order)
+                order.append(nxt)
+                queue.append(nxt)
+            row.append(index[nxt])
+    return Dfa(
+        state_count=len(order),
+        alphabet=d.alphabet,
+        delta=tuple(map(tuple, rows)),
+        initial=0,
+        finals=frozenset(i for i, c in enumerate(order) if rep[c] in d.finals),
     )
 
 

@@ -312,6 +312,49 @@ def test_full_pipeline_witness_op_measure(tmp_path, capsys):
     assert int(stdout.strip().split("=")[1]) == reverse(trim_alphabet(emitted)).kappa
 
 
+GOLDEN = Path(__file__).parent / "cli_golden"
+
+# Per witness class at n=5: the dialects of the left and right operands,
+# the registry's unrestricted-product dialects, so the alphabets differ.
+GOLDEN_OPERANDS = {
+    "regular": ("a,b,-,c", "b,a,-,d"),
+    "right": ("a,b,-,d,e", "a,b,-,d,c"),
+    "left": ("a,b,-,d,e", "a,d,c,-,e"),
+    "twosided": ("a,b,-,-,e,f", "a,c,-,-,e,f"),
+}
+
+
+@pytest.mark.parametrize("witness_class", sorted(GOLDEN_OPERANDS))
+def test_cli_writes_the_golden_bytes(tmp_path, capsys, witness_class):
+    # tests/cli_golden holds the files these commands wrote before the
+    # subset walk and minimize's renumbering were rewritten: the rewrite
+    # must not change a byte of the CLI's output.
+    def golden(name: str) -> bytes:
+        return (GOLDEN / f"{witness_class}-{name}.dfa").read_bytes()
+
+    lhs, rhs = tmp_path / "lhs.dfa", tmp_path / "rhs.dfa"
+    for path, dialect in zip((lhs, rhs), GOLDEN_OPERANDS[witness_class]):
+        code, _, _ = run_cli(
+            capsys, "witness", "gen", witness_class, "5", "--dialect", dialect, "-o", str(path)
+        )
+        assert code == 0
+    assert lhs.read_bytes() == golden("lhs")
+    assert rhs.read_bytes() == golden("rhs")
+    for name, operands in [
+        ("product", [lhs, rhs]),
+        ("union", [lhs, rhs]),
+        ("star", [lhs]),
+        ("reverse", [lhs]),
+        ("complement", [lhs, "--universe", "abcdefg"]),
+    ]:
+        out = tmp_path / f"{name}.dfa"
+        code, stdout, _ = run_cli(capsys, "op", name, *map(str, operands), "--emit", str(out))
+        expected = golden(name)
+        assert code == 0
+        assert out.read_bytes() == expected, name
+        assert stdout == f"kappa={int(expected.split()[1])}\n"
+
+
 def test_module_entry_point(tmp_path):
     import subprocess
     import sys

@@ -21,8 +21,9 @@ from statecomplexity.automata import (
     bits,
     components,
     nerode_classes,
-    reversal_step,
+    preimage_masks,
     subset_step,
+    subset_walk,
     walk,
 )
 from statecomplexity.bounds import BOOLEAN_BY_NAME, registry_by_id
@@ -40,6 +41,7 @@ from conftest import (
     random_dfa_over,
     random_word,
     subset_step_oracle,
+    subset_walk_oracle,
     word_in,
 )
 
@@ -72,19 +74,17 @@ def epsilon_closure(transitions, states: int) -> int:
         closed = grown
 
 
-def nfa_step(n: int, alphabet, transitions):
-    """Subset step of an epsilon-NFA, the empty-word moves folded into its masks."""
+def nfa_masks(n: int, alphabet, transitions):
+    """Subset-walk masks of an epsilon-NFA, the empty-word moves folded in."""
 
     def moves(p: int, a: str) -> int:
         return bits(q for p2, label, q in transitions if (p2, label) == (p, a))
 
-    return subset_step(
-        [[epsilon_closure(transitions, moves(p, a)) for p in range(n)] for a in alphabet]
-    )
+    return [[epsilon_closure(transitions, moves(p, a)) for p in range(n)] for a in alphabet]
 
 
 def test_determinize_trivial_epsilon_language():
-    d = determinize(("a",), 1, nfa_step(1, ("a",), frozenset()), lambda s: s & 1)
+    d = determinize(("a",), 1, nfa_masks(1, ("a",), frozenset()), lambda s: s & 1)
     assert d.alphabet == ("a",)
     assert accepts(d, "")
     assert not accepts(d, "a")
@@ -104,7 +104,7 @@ def test_determinize_agrees_with_direct_simulation(rng):
         d = determinize(
             alphabet,
             epsilon_closure(transitions, bits(initials)),
-            nfa_step(n, alphabet, transitions),
+            nfa_masks(n, alphabet, transitions),
             lambda s: s & bits(finals),
         )
         for _ in range(40):
@@ -115,7 +115,7 @@ def test_determinize_agrees_with_direct_simulation(rng):
 def test_determinize_has_no_unreachable_states(rng):
     for _ in range(50):
         d = random_dfa(rng, max_states=6)
-        subset = determinize(d.alphabet, bits(d.finals), reversal_step(d), lambda s: s & 1)
+        subset = determinize(d.alphabet, bits(d.finals), preimage_masks(d), lambda s: s & 1)
         reached = {subset.initial}
         frontier = [subset.initial]
         while frontier:
@@ -152,6 +152,55 @@ def test_subset_step_matches_the_per_letter_oracle(rng):
             assert step(subset) == oracle(subset)
 
 
+def random_masks(rng, width: int, k: int) -> list[list[int]]:
+    """k rows of `width` masks, each row dense, sparse (NFA-like) or empty."""
+    masks = []
+    for _ in range(k):
+        kind = rng.random()
+        if kind < 0.4:
+            masks.append([rng.getrandbits(width) for _ in range(width)])
+        elif kind < 0.9:
+            sparse = (rng.sample(range(width), rng.randint(0, min(2, width))) for _ in range(width))
+            masks.append([bits(states) for states in sparse])
+        else:
+            masks.append([0] * width)
+    return masks
+
+
+@pytest.mark.parametrize(
+    "masks",
+    [[], [[]], [[], []], [[0]], [[1], [0], [1]], [[0, 0, 0], [0, 0, 0]]],
+    ids=["no-letters", "width-0", "width-0-two-letters", "width-1-empty", "width-1", "all-zero"],
+)
+def test_subset_walk_edge_cases_match_the_oracle_walk(masks):
+    width = len(masks[0]) if masks else 5
+    for start in range(1 << width):
+        assert subset_walk(start, masks) == subset_walk_oracle(start, masks, 1 << 20)
+
+
+def test_subset_walk_matches_the_oracle_walk(rng, monkeypatch):
+    # Sparse masks over 70 states can reach far more subsets than a test
+    # should walk, so both walks stop at 300 keys, and must stop together.
+    from statecomplexity import CapacityError, automata
+
+    cap = 300
+    monkeypatch.setattr(automata, "MAX_SUBSET_STATES", cap)
+    capped = 0
+    for _ in range(300):
+        width = rng.randint(0, 70)
+        masks = random_masks(rng, width, rng.randint(0, 4))
+        full = (1 << width) - 1
+        for start in (0, full, rng.getrandbits(width), 1 << rng.randrange(width) if width else 0):
+            expected = subset_walk_oracle(start, masks, cap)
+            if expected is None:
+                capped += 1
+                with pytest.raises(CapacityError):
+                    subset_walk(start, masks)
+            else:
+                assert subset_walk(start, masks) == expected
+    assert 0 < capped < 600  # both outcomes occur
+
+
 def test_walk_numbers_its_starts_first_in_order_and_merges_duplicates():
     keys, rows = walk(1, [5, 2, 5, 0], lambda k: [(k + 1) % 6])
     assert keys == [5, 2, 0, 3, 1, 4]
@@ -165,18 +214,24 @@ def test_determinize_raises_capacity_error(monkeypatch):
     monkeypatch.setattr(automata, "MAX_SUBSET_STATES", 7)
     d = build_regular(3)
     with pytest.raises(CapacityError):
-        determinize(d.alphabet, bits(d.finals), reversal_step(d), lambda s: s & 1)
-    assert determinize(d.alphabet, 1, lambda s: [s, s, s, s], bool).state_count == 1
+        determinize(d.alphabet, bits(d.finals), preimage_masks(d), lambda s: s & 1)
+    assert determinize(d.alphabet, 1, [[1, 2, 4]] * 4, bool).state_count == 1
 
 
 @pytest.mark.parametrize(
-    ("alphabet", "successors"), [(("A",), 1), (("a", "a"), 2), (("a", "b"), 1)]
+    ("alphabet", "mask_rows"), [(("A",), 1), (("a", "a"), 2), (("a", "b"), 1)]
 )
-def test_determinize_checks_what_its_caller_supplies(alphabet, successors):
+def test_determinize_checks_what_its_caller_supplies(alphabet, mask_rows):
     # The walked rows skip the constructor's checks, so a bad alphabet or
-    # a step with too few successors must be refused before they are built.
+    # the wrong number of mask rows must be refused before they are built.
     with pytest.raises(ValueError):
-        determinize(alphabet, 0, lambda k: [(k + 1) % 3] * successors, bool)
+        determinize(alphabet, 1, [[2, 4, 1]] * mask_rows, bool)
+
+
+def test_determinize_refuses_mask_rows_of_unequal_width():
+    # Packing would silently cut the longer row down to the shorter.
+    with pytest.raises(ValueError):
+        determinize(("a", "b"), 1, [[2, 4, 1], [2, 4]], bool)
 
 
 @pytest.mark.parametrize("finals", [{2}, {-1}, {0.5}, {"0"}])
@@ -287,7 +342,44 @@ def test_minimize_is_idempotent(rng):
     for _ in range(200):
         d = random_dfa(rng, max_states=7)
         once = minimize(d)
-        assert minimize(once) == once
+        assert minimize(once) is once  # already canonical: returned as it is
+
+
+def renumbered(d: Dfa, perm: list[int]) -> Dfa:
+    """`d` with state q renamed perm[q], the initial state included."""
+    rows = []
+    for row in d.delta:
+        new = [0] * d.state_count
+        for q, image in enumerate(row):
+            new[perm[q]] = perm[image]
+        rows.append(tuple(new))
+    return Dfa(
+        d.state_count,
+        d.alphabet,
+        tuple(rows),
+        perm[d.initial],
+        frozenset(perm[q] for q in d.finals),
+    )
+
+
+def test_minimize_is_canonical_under_any_renumbering():
+    # minimize returns an input that is already minimal and BFS-numbered
+    # as it is; renumbering the states of a minimal DFA must still give the
+    # canonical numbering back, so that shortcut may fire on no other input.
+    rng = random.Random(20261019)
+    renamed_minimal = 0
+    for _ in range(1000):
+        d = random_dfa(rng, max_states=8, letters="abc")
+        m = minimize(d)
+        perm = list(range(d.state_count))
+        rng.shuffle(perm)
+        assert minimize(renumbered(d, perm)) == m
+        perm = list(range(m.state_count))
+        rng.shuffle(perm)
+        shuffled = renumbered(m, perm)
+        renamed_minimal += shuffled != m
+        assert minimize(shuffled) == m
+    assert renamed_minimal > 300  # many draws minimize to one or two states
 
 
 def test_minimize_preserves_language(rng):

@@ -43,9 +43,12 @@ KEYWORD_LINES = st.builds(
 @given(st.one_of(st.text(), st.lists(st.one_of(KEYWORD_LINES, st.text())).map("\n".join)))
 def test_parse_raises_only_parse_errors(text):
     try:
-        parse_dfa(text)
+        d = parse_dfa(text)
     except DfaParseError:
-        pass
+        return
+    # The parser builds its result without the constructor's checks, so
+    # it must accept nothing the constructor would refuse.
+    assert d == Dfa(d.state_count, d.alphabet, d.delta, d.initial, d.finals)
 
 
 ENDS_IN_B_FILE = """states 2

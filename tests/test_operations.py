@@ -26,7 +26,7 @@ from statecomplexity import (
     union_alphabets,
     universal_dfa,
 )
-from statecomplexity.automata import bits, reversal_step
+from statecomplexity.automata import bits, preimage_masks
 
 from conftest import (
     complete_over,
@@ -390,12 +390,14 @@ def test_ideal_predicates_on_edge_cases():
 def test_reverse_subset_automaton_size():
     # The preimage walk of the 3-state witness reaches all 8 subsets.
     d = reg(3, "a,b,c")
-    assert determinize(d.alphabet, bits(d.finals), reversal_step(d), bool).state_count == 8
+    assert determinize(d.alphabet, bits(d.finals), preimage_masks(d), bool).state_count == 8
 
 
 def raw_reversal_walk(d: Dfa) -> Dfa:
     """The preimage subset walk of `d` itself, neither minimized nor trimmed."""
-    return determinize(d.alphabet, bits(d.finals), reversal_step(d), lambda s: s >> d.initial & 1)
+    return determinize(
+        d.alphabet, bits(d.finals), preimage_masks(d), lambda s: s >> d.initial & 1
+    )
 
 
 def test_reverse_is_the_trimmed_raw_walk_on_non_accessible_dfas():

@@ -118,7 +118,7 @@ def syntactic_semigroup_size(d: Dfa) -> int:
     pad = bytes(range(n, 256))
     letters = [bytes(row) for row in d.delta]
     tables = [g + pad for g in letters]
-    images, rows = subset_walk((1 << n) - 1, [[1 << q for q in row] for row in d.delta])
+    images, rows = subset_walk(((1 << n) - 1,), [[1 << q for q in row] for row in d.delta])
     position = {image: v for v, image in enumerate(images)}
     comp = components([[row[v] for row in rows] for v in range(len(images))])
     roots: dict[int, int] = {}

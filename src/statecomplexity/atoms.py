@@ -1,31 +1,25 @@
 """Atoms: non-empty intersections of complemented and uncomplemented quotients.
 
-For a minimal n-state DFA, every subset S of states names a candidate
-atom: the words whose quotient-membership profile is exactly S (the word
-lies in the quotient of each state in S and outside every other
-quotient). Words are partitioned by their profile, so distinct atoms are
-disjoint and the non-empty profiles count the quotients of the reversed
-language.
+For a DFA with states Q, every subset S of Q names a candidate atom: the
+words whose quotient-membership profile is exactly S (the word lies in
+the language of each state in S and outside that of every other state).
+Words are partitioned by their profile, so distinct atoms are disjoint,
+and for a minimal DFA the non-empty profiles count the quotients of the
+reversed language.
+
+Every quotient of an atom is a union of atoms (Brzozowski and Tamm,
+"Theory of átomata", TCS 539, 2014), so the atom DFAs are subset walks
+over the atoms themselves: the átomaton. Atoms are disjoint and
+non-empty, so distinct unions of atoms are distinct languages, and such
+a walk is already minimal.
 """
 
 from __future__ import annotations
 
-from functools import cache
 from math import comb
 from typing import Iterable
 
-from .automata import (
-    Dfa,
-    _unchecked_dfa,
-    bits,
-    components,
-    minimize,
-    nerode_classes,
-    preimage_masks,
-    subset_step,
-    subset_walk,
-    walk,
-)
+from .automata import Dfa, bits, components, determinize, preimage_masks, subset_walk
 from .witnesses import WitnessClass
 
 
@@ -33,105 +27,83 @@ def _profile(s: Iterable[int], n: int) -> frozenset[int]:
     """S as a set, after checking that it names only states 0..n-1."""
     s = frozenset(s)
     for q in s:
-        if not isinstance(q, int) or not 0 <= q < n:
+        if type(q) is not int or not 0 <= q < n:
             raise ValueError(f"profile member {q!r} is not a state 0..{n - 1}")
     return s
 
 
-def _pair_automaton(d: Dfa, profiles: Iterable[Iterable[int]]) -> Dfa:
-    """DFA over (X, Y) pairs tracking the images of each S and of its complement.
+def _atomaton(d: Dfa, profiles: Iterable[Iterable[int]]) -> tuple[list[int], list[list[int]]]:
+    """Each profile's atom as a set of atoms, and the átomaton's masks.
 
-    X and Y are bitmasks. State i is the start pair (S, Q minus S) of the
-    i-th distinct profile, and the walk goes on from all of them at once,
-    so the profiles of one DFA share every pair they reach. A pair with
-    overlapping halves can never separate again, so all such pairs
-    collapse into one dead key up front. Accepting pairs are those with X
-    inside the finals and Y disjoint from them. The walk meets each subset
-    in many pairs but there are at most 2^n subsets, so their images are
-    memoized for the length of this call.
+    The reversal's subset walk from the final states (see `atoms`) sends
+    the profile of w, on letter a, to the profile of aw. Atoms are
+    numbered as it numbers their profiles, key 0 being the profile of the
+    empty word, and a set of atoms is the bitmask of their numbers: an
+    unrealized profile's atom is the empty set. The quotient of atom S by
+    a is the union of the atoms T whose walk row on a sends T to S, so
+    the masks are the preimage masks of the walk's rows, and a set of
+    atoms holds the empty word iff it holds atom 0.
     """
-    image = cache(subset_step([[1 << q for q in row] for row in d.delta]))
-    dead = None
-    finals = bits(d.finals)
-
-    def step(pair):
-        if pair is dead:
-            return [dead] * len(d.alphabet)
-        x, y = pair
-        return [dead if nx & ny else (nx, ny) for nx, ny in zip(image(x), image(y))]
-
-    full = (1 << d.state_count) - 1
-    starts = (bits(_profile(s, d.state_count)) for s in profiles)
-    keys, rows = walk(len(d.alphabet), ((x, full & ~x) for x in starts), step)
-    return _unchecked_dfa(
-        len(keys),
-        d.alphabet,
-        tuple(map(tuple, rows)),
-        0,
-        frozenset(
-            i
-            for i, pair in enumerate(keys)
-            if pair is not dead and not pair[0] & ~finals and not pair[1] & finals
-        ),
-    )
+    keys, rows = subset_walk((bits(d.finals),), preimage_masks(d.delta))
+    atom = {key: 1 << number for number, key in enumerate(keys)}
+    n = d.state_count
+    starts = [atom.get(bits(_profile(s, n)), 0) for s in profiles]
+    return starts, preimage_masks(rows)
 
 
 def atom_dfa(d: Dfa, s: Iterable[int]) -> Dfa:
     """Minimal DFA of the atom named by S, over the input's full alphabet.
 
-    The input must be minimal over its language's alphabet. The result is
-    minimized but deliberately not alphabet-trimmed any further: atoms are
-    read as languages over the same alphabet as the input. An atom with no
-    words comes back as the one-state dead DFA, so S is realized iff the
-    result has a final state.
+    The átomaton's subset walk from S's atom. It is minimal and numbered
+    breadth-first as `minimize` numbers its output, so it is not refined.
+    The result is deliberately not alphabet-trimmed: atoms are read as
+    languages over the same alphabet as the input. An atom with no words
+    comes back as the one-state dead DFA, so S is realized iff the result
+    has a final state.
     """
-    return minimize(_pair_automaton(d, [s]))
+    (start,), masks = _atomaton(d, [s])
+    return determinize(d.alphabet, start, masks, lambda union: union & 1)
 
 
 def atom_complexities(d: Dfa, profiles: Iterable[Iterable[int]]) -> list[int]:
     """The state count of `atom_dfa(d, s)` for each profile s, in order.
 
-    One pair walk from every profile's start pair and one refinement of
-    it serve all the profiles. A pair's language does not depend on which
-    start reached it, so the classes reachable from the start pair of S
-    are exactly the states of the minimal DFA of S's atom, and their
-    number equals `atom_dfa(d, s).state_count`. One pass over the
-    strongly connected components of the class graph, sinks first, gives
-    every class the bitmask of the classes it reaches, and a profile's
-    count is that mask's popcount at its start class. An empty atom
-    counts 1, like the one-state dead DFA.
+    One subset walk of the átomaton from every profile's atom at once
+    serves all the profiles: the sets of atoms reachable from S's atom
+    are exactly the states of `atom_dfa(d, s)`. One pass over the
+    strongly connected components of the walk, sinks first, gives every
+    walked set the bitmask of the sets it reaches, and a profile's count
+    is that mask's popcount at its start. An empty atom counts 1, like
+    the one-state dead DFA.
     """
-    profiles = [_profile(s, d.state_count) for s in profiles]
-    if not profiles:
+    starts, masks = _atomaton(d, profiles)
+    if not starts:
         return []
-    pairs = _pair_automaton(d, profiles)
-    cls = nerode_classes(pairs)
-    member = [0] * (max(cls) + 1)  # any member gives its class's successors
-    for q, c in enumerate(cls):
-        member[c] = q
-    successors = [[cls[row[q]] for row in pairs.delta] for q in member]
+    keys, rows = subset_walk(starts, masks)
+    successors = [[row[v] for row in rows] for v in range(len(keys))]
     comp = components(successors)
-    # reach[k]: bitmask of the classes reachable from component k. Edges
-    # go to the same or a lower component, so each is complete when read.
+    # reach[k]: bitmask of the sets reachable from component k. Edges go
+    # to the same or a lower component, so each is complete when read.
     reach = [0] * (max(comp) + 1)
-    for c in sorted(range(len(comp)), key=comp.__getitem__):
-        reach[comp[c]] |= 1 << c
-        for e in successors[c]:
-            reach[comp[c]] |= reach[comp[e]]
-    start = {s: number for number, s in enumerate(dict.fromkeys(profiles))}
-    return [reach[comp[cls[start[s]]]].bit_count() for s in profiles]
+    for v in sorted(range(len(comp)), key=comp.__getitem__):
+        reach[comp[v]] |= 1 << v
+        for e in successors[v]:
+            reach[comp[v]] |= reach[comp[e]]
+    # The walk numbers the distinct starts first, in the order given.
+    number = {start: v for v, start in enumerate(dict.fromkeys(starts))}
+    return [reach[comp[number[start]]].bit_count() for start in starts]
 
 
 def atoms(d: Dfa) -> list[frozenset[int]]:
     """All profiles S whose atom is non-empty, in bitmask order.
 
-    The profile of a word w is {q : the quotient of q contains w}, and
-    reading w backwards from the final states of a minimal DFA computes
-    exactly that set. The realized profiles are therefore the keys of the
-    reversal's subset walk, which keeps the enumeration proportional to
-    the number of atoms rather than to 2^n.
+    The profile of a word w is {q : the language of q contains w}, and
+    reading w backwards from the final states computes exactly that set.
+    The realized profiles are therefore the keys of the reversal's subset
+    walk, which keeps the enumeration proportional to the number of atoms
+    rather than to 2^n.
     """
-    profiles, _ = subset_walk(bits(d.finals), preimage_masks(d))
+    profiles, _ = subset_walk((bits(d.finals),), preimage_masks(d.delta))
     return [
         frozenset(q for q in range(d.state_count) if mask >> q & 1) for mask in sorted(profiles)
     ]

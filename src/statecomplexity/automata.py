@@ -11,7 +11,7 @@ and never mutates its inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Hashable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 # Hard cap on subset-construction growth; desk-scale sweeps stay far below.
 MAX_SUBSET_STATES = 1 << 20
@@ -104,38 +104,6 @@ def accepts(d: Dfa, word: str) -> bool:
     return d.run(d.initial, word) in d.finals
 
 
-def walk(
-    letter_count: int,
-    starts: Iterable[Hashable],
-    step: Callable[[Hashable], Sequence[Hashable]],
-) -> tuple[list, list[list[int]]]:
-    """Accessible breadth-first walk over hashable keys.
-
-    `step(key)` lists the successor of `key` on each letter, in alphabet
-    order. The distinct start keys are numbered first, in the order given,
-    and every other key in the order the walk first reaches it, so the
-    numbering is canonical. Returns the keys in that order and, per
-    letter, the row mapping each key's number to its successor's number.
-    Subset walks use `subset_walk`, which runs the same numbering with its
-    step inline; this serves keys that are not subsets.
-    """
-    keys = list(dict.fromkeys(starts))
-    index = {key: number for number, key in enumerate(keys)}
-    rows: list[list[int]] = [[] for _ in range(letter_count)]
-    for key in keys:  # keys grows while it is read: it is the BFS queue
-        for row, nxt in zip(rows, step(key)):
-            number = index.get(nxt)
-            if number is None:
-                if len(keys) >= MAX_SUBSET_STATES:
-                    raise CapacityError(
-                        f"subset construction exceeded {MAX_SUBSET_STATES} states"
-                    )
-                number = index[nxt] = len(keys)
-                keys.append(nxt)
-            row.append(number)
-    return keys, rows
-
-
 def _pack(masks: Sequence[Sequence[int]]) -> tuple[Sequence[int], int]:
     """Entry q holds `masks[k][q]` at bits k·width.. for every letter k.
 
@@ -149,23 +117,30 @@ def _pack(masks: Sequence[Sequence[int]]) -> tuple[Sequence[int], int]:
     return packed, width
 
 
-def subset_walk(start: int, masks: Sequence[Sequence[int]]) -> tuple[list[int], list[list[int]]]:
-    """`walk` from one subset of states, the subsets as int bitmasks.
+def subset_walk(
+    starts: Iterable[int], masks: Sequence[Sequence[int]]
+) -> tuple[list[int], list[list[int]]]:
+    """Accessible breadth-first walk over subsets of states, as int bitmasks.
 
     `masks[k][q]` is the bitmask of states that state q reaches on letter
     k (empty-word moves already included); a subset goes to the union
-    over its members. State q's images on all k letters are packed side
-    by side into one int, letter k at bits k·width.., so a subset's step
-    is one OR per member and one shift-and-mask per letter, run inline.
+    over its members. The distinct start subsets are numbered first, in
+    the order given, and every other subset in the order the walk first
+    reaches it, so the numbering is canonical. Returns the subsets in
+    that order and, per letter, the row mapping each subset's number to
+    its successor's number. State q's images on all k letters are packed
+    side by side into one int, letter k at bits k·width.., so a subset's
+    step is one OR per member and one shift-and-mask per letter, run
+    inline.
     """
-    keys = [start]
+    keys = list(dict.fromkeys(starts))
     if not masks:  # no letters: no successors, and no row to size a lane
         return keys, []
     packed, width = _pack(masks)
     full = (1 << width) - 1
     rows: list[list[int]] = [[] for _ in masks]
     lanes = [(row, k * width) for k, row in enumerate(rows)]
-    index = {start: 0}
+    index = {key: number for number, key in enumerate(keys)}
     cap = MAX_SUBSET_STATES
     for subset in keys:  # keys grows while it is read: it is the BFS queue
         union = 0
@@ -202,7 +177,7 @@ def determinize(
     alphabet = make_alphabet(alphabet)
     if len(masks) != len(alphabet) or len({len(row) for row in masks}) > 1:
         raise ValueError(f"masks must hold one row per letter of {alphabet!r}, all as wide")
-    keys, rows = subset_walk(start, masks)
+    keys, rows = subset_walk((start,), masks)
     return _unchecked_dfa(
         len(keys),
         alphabet,
@@ -287,34 +262,14 @@ def bits(states: Iterable[int]) -> int:
     return mask
 
 
-def subset_step(masks: Sequence[Sequence[int]]) -> Callable[[int], list[int]]:
-    """The step `subset_walk` runs inline, as a function of one subset.
+def preimage_masks(rows: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Masks of the reversed walk over `rows`: entry q is q's preimages.
 
-    For walks whose keys are not subsets, such as the atom pair walk:
-    entry k of `step(subset)` is the union of `masks[k][q]` over the
-    members q, computed from the same packed ints.
+    `rows` holds one transformation per letter, such as a DFA's `delta`
+    or a walk's rows, each entry q the image of q.
     """
-    if not masks:  # no letters: no successors, and no row to size a lane
-        return lambda subset: []
-    packed, width = _pack(masks)
-    shifts = [k * width for k in range(len(masks))]
-    full = (1 << width) - 1
-
-    def step(subset: int) -> list[int]:
-        union = 0
-        while subset:
-            low = subset & -subset
-            union |= packed[low.bit_length() - 1]
-            subset ^= low
-        return [union >> shift & full for shift in shifts]
-
-    return step
-
-
-def preimage_masks(d: Dfa) -> list[list[int]]:
-    """Masks of the reversed DFA's subset walk: each state's preimages."""
-    masks = [[0] * d.state_count for _ in d.delta]
-    for preimages, row in zip(masks, d.delta):
+    masks = [[0] * len(row) for row in rows]
+    for preimages, row in zip(masks, rows):
         for p, q in enumerate(row):
             preimages[q] |= 1 << p
     return masks
@@ -407,14 +362,17 @@ def minimize(d: Dfa) -> Dfa:
     """Minimal DFA for the same language over the same alphabet.
 
     The classes of `nerode_classes` are numbered breadth-first from the
-    initial class, letters in alphabet order, as `walk` numbers its keys;
-    unreachable classes are left out. So two equal languages over equal
-    alphabets yield identical (not merely isomorphic) results, and an
-    input that is already minimal and numbered that way is returned as it
-    is: each of its classes is one state, renumbered to itself.
+    initial class, letters in alphabet order, as `subset_walk` numbers
+    its keys; unreachable classes are left out. So two equal languages
+    over equal alphabets yield identical (not merely isomorphic) results,
+    and an input that is already minimal and numbered that way is
+    returned as it is: each of its classes is one state, renumbered to
+    itself.
     """
     if not d.alphabet:
         # Nothing to refine; a huge declared state count allocates nothing.
+        if d.state_count == 1:
+            return d
         return Dfa(1, (), (), 0, frozenset({0}) if d.initial in d.finals else frozenset())
     cls = nerode_classes(d)
     count = max(cls) + 1

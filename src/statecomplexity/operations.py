@@ -185,7 +185,7 @@ def reverse(d: Dfa) -> OpResult:
     """
     d = minimize(d)
     subsets = determinize(
-        d.alphabet, bits(d.finals), preimage_masks(d), lambda s: s >> d.initial & 1
+        d.alphabet, bits(d.finals), preimage_masks(d.delta), lambda s: s >> d.initial & 1
     )
     trimmed = _trim_minimal(subsets)
     return OpResult(dfa=trimmed, kappa=trimmed.state_count)

@@ -143,7 +143,8 @@ def brzozowski_minimize(d: Dfa) -> Dfa:
 
 
 def subset_step_oracle(masks):
-    """Per-letter subset step; an oracle against the packed `subset_step`.
+    """Per-letter subset step; an oracle against the step `subset_walk`
+    runs inline.
 
     Each member of a subset ORs its mask on every letter into that
     letter's image, one letter at a time.
@@ -162,16 +163,21 @@ def subset_step_oracle(masks):
     return step
 
 
-def subset_walk_oracle(start: int, masks, cap: int) -> tuple[list[int], list[list[int]]] | None:
+def subset_walk_oracle(
+    starts: Iterable[int], masks, cap: int
+) -> tuple[list[int], list[list[int]]] | None:
     """Breadth-first subset walk over `subset_step_oracle`; an oracle
-    against `subset_walk`. Returns None once more than `cap` subsets are
-    reached, where the library raises `CapacityError`.
+    against `subset_walk`. The distinct starts are numbered first, in
+    order. Returns None when a new subset is reached with `cap` already
+    numbered, where the library raises `CapacityError`.
     """
     step = subset_step_oracle(masks)
-    index = {start: 0}
-    keys = [start]
+    index: dict[int, int] = {}
+    for start in starts:
+        index.setdefault(start, len(index))
+    keys = list(index)
     rows: list[list[int]] = [[] for _ in masks]
-    queue = deque([start])
+    queue = deque(keys)
     while queue:
         for row, nxt in zip(rows, step(queue.popleft())):
             if nxt not in index:
@@ -235,6 +241,54 @@ def moore_minimize(d: Dfa) -> Dfa:
         delta=tuple(map(tuple, rows)),
         initial=0,
         finals=frozenset(i for i, c in enumerate(order) if rep[c] in d.finals),
+    )
+
+
+def pair_atom_oracle(d: Dfa, s: Iterable[int]) -> Dfa:
+    """Minimal DFA of the atom of profile S by the (X, Y) pair construction.
+
+    Brzozowski and Tamm's pair method ("Complexity of atoms of regular
+    languages", IJFCS 24(7), 2013): a word leads the pair (S, Q minus S)
+    to the images (X, Y) of both sets, and the rest of the word stays in
+    the atom iff it takes X into the final states and Y outside them. A
+    pair whose halves overlap accepts nothing, so all such pairs are one
+    dead state. A plain breadth-first search over frozenset pairs,
+    minimized by `moore_minimize`; an oracle against `atom_dfa` that
+    shares no walk with the library.
+    """
+    x = frozenset(s)
+    start = (x, frozenset(range(d.state_count)) - x)
+    dead = None
+    index = {start: 0}
+    order: list = [start]
+    rows: list[list[int]] = [[] for _ in d.alphabet]
+    queue = deque([start])
+    while queue:
+        pair = queue.popleft()
+        for row, images in zip(rows, d.delta):
+            nxt = dead
+            if pair is not dead:
+                nx = frozenset(images[q] for q in pair[0])
+                ny = frozenset(images[q] for q in pair[1])
+                if not nx & ny:
+                    nxt = (nx, ny)
+            if nxt not in index:
+                index[nxt] = len(order)
+                order.append(nxt)
+                queue.append(nxt)
+            row.append(index[nxt])
+    return moore_minimize(
+        Dfa(
+            state_count=len(order),
+            alphabet=d.alphabet,
+            delta=tuple(map(tuple, rows)),
+            initial=0,
+            finals=frozenset(
+                i
+                for i, pair in enumerate(order)
+                if pair is not dead and pair[0] <= d.finals and not pair[1] & d.finals
+            ),
+        )
     )
 
 

@@ -22,7 +22,14 @@ from statecomplexity import (
 )
 from statecomplexity.atoms import explicit_profiles
 
-from conftest import brzozowski_minimize, random_dfa, random_word, word_in
+from conftest import (
+    brzozowski_minimize,
+    pair_atom_oracle,
+    random_dfa,
+    random_dfa_over,
+    random_word,
+    word_in,
+)
 from test_acceptance import BUILDERS, atom_form
 
 
@@ -42,7 +49,7 @@ def monoid_atom_automaton(d: Dfa, s: frozenset[int]) -> Dfa:
     starting from the identity tuple, so they run through the transition
     monoid; a tuple accepts iff its profile is exactly S. Minimizing this
     automaton gives the atom's minimal DFA without ever touching the
-    subset-pair construction.
+    átomaton or the subset-pair construction.
     """
     start = tuple(range(d.state_count))
     index = {start: 0}
@@ -130,7 +137,28 @@ def test_pair_construction_matches_monoid_route_ideals():
         assert atom_dfa(d, s) == atom_dfa_via_monoid(d, s)
 
 
-# --- one shared pair walk for many profiles ----------------------------------------
+# --- the (X, Y) pair oracle --------------------------------------------------------
+
+
+def test_atomaton_matches_the_pair_oracle_on_random_dfas(rng):
+    # Not minimal, not accessible, over 0-3 letters; realized, unrealized,
+    # empty and full profiles. The átomaton walk is not refined, so it
+    # must come out minimal and canonically numbered as it is.
+    for _ in range(1000):
+        n = rng.randint(1, 5)
+        d = random_dfa_over(rng, sorted(rng.sample("abc", rng.randint(0, 3))), n)
+        full = frozenset(range(n))
+        drawn = (frozenset(rng.sample(range(n), rng.randint(0, n))) for _ in range(2))
+        profiles = [*atoms(d), *drawn, frozenset(), full]
+        oracles = [pair_atom_oracle(d, s) for s in profiles]
+        for s, oracle in zip(profiles, oracles):
+            a = atom_dfa(d, s)
+            assert a == oracle, (d, s)
+            assert minimize(a) is a
+        assert atom_complexities(d, profiles) == [o.state_count for o in oracles]
+
+
+# --- one shared átomaton walk for many profiles -------------------------------------
 
 
 def per_profile_counts(d: Dfa, profiles) -> list[int]:
@@ -243,7 +271,7 @@ def test_formula_rejects_unlisted_profiles():
         atom_formula(WitnessClass.REGULAR, 2, frozenset())
 
 
-@pytest.mark.parametrize("profile", [{3}, {5}, {-1}, {0, 7}, {1.0}, {"0"}])
+@pytest.mark.parametrize("profile", [{3}, {5}, {-1}, {0, 7}, {1.0}, {"0"}, {True}])
 @pytest.mark.parametrize(
     "call",
     [
@@ -254,7 +282,8 @@ def test_formula_rejects_unlisted_profiles():
     ids=["atom_formula", "atom_dfa", "atom_complexities"],
 )
 def test_profiles_naming_no_state_are_rejected(call, profile):
-    with pytest.raises(ValueError, match="not a state 0..2"):
+    # True == 1, but a profile names its states by int, as a Dfa does.
+    with pytest.raises(ValueError, match=r"profile member \S+ is not a state 0\.\.2"):
         call(profile)
 
 
@@ -322,9 +351,9 @@ def test_two_sided_atoms_realize_the_named_value_at_full_minus_initial():
     ],
 )
 def test_ideal_atom_forms_match_the_monoid_oracle(cls, n):
-    # The acceptance gate's corrected forms must not rest on the pair
-    # construction alone: the monoid automaton, minimized by double
-    # reversal, shares neither _pair_automaton nor minimize with atom_dfa.
+    # The acceptance gate's corrected forms must not rest on the átomaton
+    # alone: the monoid automaton, minimized by double reversal, shares
+    # neither the átomaton walk nor its numbering with atom_dfa.
     d = BUILDERS[cls](n)
     for s in atoms(d):
         oracle = brzozowski_minimize(monoid_atom_automaton(d, s)).state_count

@@ -22,9 +22,7 @@ from statecomplexity.automata import (
     components,
     nerode_classes,
     preimage_masks,
-    subset_step,
     subset_walk,
-    walk,
 )
 from statecomplexity.bounds import BOOLEAN_BY_NAME, registry_by_id
 
@@ -115,7 +113,7 @@ def test_determinize_agrees_with_direct_simulation(rng):
 def test_determinize_has_no_unreachable_states(rng):
     for _ in range(50):
         d = random_dfa(rng, max_states=6)
-        subset = determinize(d.alphabet, bits(d.finals), preimage_masks(d), lambda s: s & 1)
+        subset = determinize(d.alphabet, bits(d.finals), preimage_masks(d.delta), lambda s: s & 1)
         reached = {subset.initial}
         frontier = [subset.initial]
         while frontier:
@@ -133,23 +131,12 @@ def test_determinize_has_no_unreachable_states(rng):
     ids=["no-letters", "width-0", "width-0-two-letters", "width-1-empty", "width-1", "all-zero"],
 )
 def test_subset_step_edge_cases_match_the_oracle(masks):
+    # The step `subset_walk` runs inline, read off a walk from one subset:
+    # its successors on the letters are the walk's first row entries.
     width = len(masks[0]) if masks else 5
     for subset in range(1 << width):
-        assert subset_step(masks)(subset) == subset_step_oracle(masks)(subset)
-
-
-def test_subset_step_matches_the_per_letter_oracle(rng):
-    for _ in range(300):
-        width = rng.randint(0, 70)
-        k = rng.randint(0, 4)
-        masks = [
-            [rng.getrandbits(width) if rng.random() < 0.8 else 0 for _ in range(width)]
-            for _ in range(k)
-        ]
-        step, oracle = subset_step(masks), subset_step_oracle(masks)
-        full = (1 << width) - 1
-        for subset in (0, full, *(rng.getrandbits(width) for _ in range(10))):
-            assert step(subset) == oracle(subset)
+        keys, rows = subset_walk((subset,), masks)
+        assert [keys[row[0]] for row in rows] == subset_step_oracle(masks)(subset)
 
 
 def random_masks(rng, width: int, k: int) -> list[list[int]]:
@@ -174,8 +161,9 @@ def random_masks(rng, width: int, k: int) -> list[list[int]]:
 )
 def test_subset_walk_edge_cases_match_the_oracle_walk(masks):
     width = len(masks[0]) if masks else 5
-    for start in range(1 << width):
-        assert subset_walk(start, masks) == subset_walk_oracle(start, masks, 1 << 20)
+    every = range(1 << width)
+    for starts in (*((start,) for start in every), every, [*reversed(every), 0, 0]):
+        assert subset_walk(starts, masks) == subset_walk_oracle(starts, masks, 1 << 20)
 
 
 def test_subset_walk_matches_the_oracle_walk(rng, monkeypatch):
@@ -190,22 +178,26 @@ def test_subset_walk_matches_the_oracle_walk(rng, monkeypatch):
         width = rng.randint(0, 70)
         masks = random_masks(rng, width, rng.randint(0, 4))
         full = (1 << width) - 1
-        for start in (0, full, rng.getrandbits(width), 1 << rng.randrange(width) if width else 0):
-            expected = subset_walk_oracle(start, masks, cap)
+        single = 1 << rng.randrange(width) if width else 0
+        several = [rng.getrandbits(width) for _ in range(rng.randint(2, 5))]
+        for starts in ((0,), (full,), (rng.getrandbits(width),), (single,), several * 2):
+            expected = subset_walk_oracle(starts, masks, cap)
             if expected is None:
                 capped += 1
                 with pytest.raises(CapacityError):
-                    subset_walk(start, masks)
+                    subset_walk(starts, masks)
             else:
-                assert subset_walk(start, masks) == expected
-    assert 0 < capped < 600  # both outcomes occur
+                assert subset_walk(starts, masks) == expected
+    assert 0 < capped < 1500  # both outcomes occur
 
 
 def test_walk_numbers_its_starts_first_in_order_and_merges_duplicates():
-    keys, rows = walk(1, [5, 2, 5, 0], lambda k: [(k + 1) % 6])
-    assert keys == [5, 2, 0, 3, 1, 4]
+    rotate = [[1 << (q + 1) % 6 for q in range(6)]]
+    keys, rows = subset_walk([1 << 5, 1 << 2, 1 << 5, 1 << 0], rotate)
+    assert keys == [1 << 5, 1 << 2, 1 << 0, 1 << 3, 1 << 1, 1 << 4]
     assert rows == [[2, 3, 4, 5, 1, 0]]
-    assert walk(1, iter([4]), lambda k: [(k + 1) % 6])[0] == [4, 5, 0, 1, 2, 3]
+    assert subset_walk(iter([1 << 4]), rotate)[0] == [1 << q for q in (4, 5, 0, 1, 2, 3)]
+    assert subset_walk([], rotate) == ([], [[]])
 
 
 def test_determinize_raises_capacity_error(monkeypatch):
@@ -214,7 +206,7 @@ def test_determinize_raises_capacity_error(monkeypatch):
     monkeypatch.setattr(automata, "MAX_SUBSET_STATES", 7)
     d = build_regular(3)
     with pytest.raises(CapacityError):
-        determinize(d.alphabet, bits(d.finals), preimage_masks(d), lambda s: s & 1)
+        determinize(d.alphabet, bits(d.finals), preimage_masks(d.delta), lambda s: s & 1)
     assert determinize(d.alphabet, 1, [[1, 2, 4]] * 4, bool).state_count == 1
 
 

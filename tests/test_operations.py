@@ -390,13 +390,13 @@ def test_ideal_predicates_on_edge_cases():
 def test_reverse_subset_automaton_size():
     # The preimage walk of the 3-state witness reaches all 8 subsets.
     d = reg(3, "a,b,c")
-    assert determinize(d.alphabet, bits(d.finals), preimage_masks(d), bool).state_count == 8
+    assert determinize(d.alphabet, bits(d.finals), preimage_masks(d.delta), bool).state_count == 8
 
 
 def raw_reversal_walk(d: Dfa) -> Dfa:
     """The preimage subset walk of `d` itself, neither minimized nor trimmed."""
     return determinize(
-        d.alphabet, bits(d.finals), preimage_masks(d), lambda s: s >> d.initial & 1
+        d.alphabet, bits(d.finals), preimage_masks(d.delta), lambda s: s >> d.initial & 1
     )
 
 

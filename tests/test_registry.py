@@ -325,6 +325,20 @@ def test_batched_pool_reproduces_the_extended_grid():
     assert golden_columns(rows) == golden
 
 
+@pytest.mark.slow
+def test_batched_pool_reproduces_the_3to8_grid():
+    # tests/verify_grid_3to8.csv holds columns 1-6 of `verify --m 3..8
+    # --n 3..8`, 17 documented mismatches included; it pins the atom
+    # kernel at n=8. Its rows within 3..7 are the 3..7 golden's, in order.
+    here = Path(__file__).parent
+    golden = (here / "verify_grid_3to8.csv").read_text()
+    rows = run_sweep(m_range=(3, 8), n_range=(3, 8), jobs=2)
+    assert golden_columns(rows) == golden
+    header, *lines = golden.splitlines(keepends=True)
+    within = [line for line in lines if "8" not in line.split(",")[1:3]]
+    assert "".join([header, *within]) == (here / "verify_grid_3to7.csv").read_text()
+
+
 def test_construction_failures_become_failed_rows(monkeypatch):
     import statecomplexity.bounds as reg_mod
 

@@ -133,14 +133,16 @@ def subset_walk(
     step is one OR per member and one shift-and-mask per letter, run
     inline.
     """
-    keys = list(dict.fromkeys(starts))
+    index: dict[int, int] = {}
+    for start in starts:
+        index.setdefault(start, len(index))
+    keys = list(index)
     if not masks:  # no letters: no successors, and no row to size a lane
         return keys, []
     packed, width = _pack(masks)
     full = (1 << width) - 1
     rows: list[list[int]] = [[] for _ in masks]
     lanes = [(row, k * width) for k, row in enumerate(rows)]
-    index = {key: number for number, key in enumerate(keys)}
     cap = MAX_SUBSET_STATES
     for subset in keys:  # keys grows while it is read: it is the BFS queue
         union = 0

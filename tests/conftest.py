@@ -172,10 +172,8 @@ def subset_walk_oracle(
     numbered, where the library raises `CapacityError`.
     """
     step = subset_step_oracle(masks)
-    index: dict[int, int] = {}
-    for start in starts:
-        index.setdefault(start, len(index))
-    keys = list(index)
+    keys = list(dict.fromkeys(starts))
+    index = {start: number for number, start in enumerate(keys)}
     rows: list[list[int]] = [[] for _ in masks]
     queue = deque(keys)
     while queue:

@@ -19,7 +19,16 @@ from __future__ import annotations
 from math import comb
 from typing import Iterable
 
-from .automata import Dfa, bits, components, determinize, preimage_masks, subset_walk
+from . import automata
+from .automata import (
+    CapacityError,
+    Dfa,
+    bits,
+    components,
+    determinize,
+    preimage_masks,
+    subset_walk,
+)
 from .witnesses import WitnessClass
 
 
@@ -43,12 +52,21 @@ def _atomaton(d: Dfa, profiles: Iterable[Iterable[int]]) -> tuple[list[int], lis
     a is the union of the atoms T whose walk row on a sends T to S, so
     the masks are the preimage masks of the walk's rows, and a set of
     atoms holds the empty word iff it holds atom 0.
+
+    Each of the k·A masks over A atoms can be A bits wide, and the walk
+    packs them into A ints of k·A bits, so when k·A² exceeds
+    `MAX_SUBSET_BITS` this raises `CapacityError` before building any.
     """
-    keys, rows = subset_walk((bits(d.finals),), preimage_masks(d.delta))
-    atom = {key: 1 << number for number, key in enumerate(keys)}
     n = d.state_count
-    starts = [atom.get(bits(_profile(s, n)), 0) for s in profiles]
-    return starts, preimage_masks(rows)
+    profiles = [bits(_profile(s, n)) for s in profiles]
+    keys, rows = subset_walk((bits(d.finals),), preimage_masks(d.delta))
+    if len(rows) * len(keys) ** 2 > automata.MAX_SUBSET_BITS:
+        raise CapacityError(
+            f"átomaton masks over {len(keys)} atoms and {len(rows)} letters"
+            f" exceed {automata.MAX_SUBSET_BITS} bits"
+        )
+    atom = {key: 1 << number for number, key in enumerate(keys)}
+    return [atom.get(s, 0) for s in profiles], preimage_masks(rows)
 
 
 def atom_dfa(d: Dfa, s: Iterable[int]) -> Dfa:
@@ -56,6 +74,9 @@ def atom_dfa(d: Dfa, s: Iterable[int]) -> Dfa:
 
     The átomaton's subset walk from S's atom. It is minimal and numbered
     breadth-first as `minimize` numbers its output, so it is not refined.
+    Building the átomaton costs the reversal's whole subset walk and its
+    masks, however few states S's atom has, and each walked set of atoms
+    steps by one OR of a packed mask per atom it holds.
     The result is deliberately not alphabet-trimmed: atoms are read as
     languages over the same alphabet as the input. An atom with no words
     comes back as the one-state dead DFA, so S is realized iff the result
@@ -76,9 +97,10 @@ def atom_complexities(d: Dfa, profiles: Iterable[Iterable[int]]) -> list[int]:
     is that mask's popcount at its start. An empty atom counts 1, like
     the one-state dead DFA.
     """
-    starts, masks = _atomaton(d, profiles)
-    if not starts:
+    profiles = list(profiles)
+    if not profiles:
         return []
+    starts, masks = _atomaton(d, profiles)
     keys, rows = subset_walk(starts, masks)
     successors = [[row[v] for row in rows] for v in range(len(keys))]
     comp = components(successors)

@@ -15,6 +15,10 @@ from typing import Callable, Iterable, Sequence
 
 # Hard cap on subset-construction growth; desk-scale sweeps stay far below.
 MAX_SUBSET_STATES = 1 << 20
+# Cap on the bits a walk's packed masks and keys hold together (512 MiB).
+# A key is as wide as the walk's state count, so walks over fewer than
+# about 4,000 states stop at MAX_SUBSET_STATES keys, and wider walks sooner.
+MAX_SUBSET_BITS = 1 << 32
 
 
 class CapacityError(RuntimeError):
@@ -131,7 +135,9 @@ def subset_walk(
     its successor's number. State q's images on all k letters are packed
     side by side into one int, letter k at bits k·width.., so a subset's
     step is one OR per member and one shift-and-mask per letter, run
-    inline.
+    inline. The walk raises `CapacityError` rather than number a key past
+    `MAX_SUBSET_STATES`, or past the `MAX_SUBSET_BITS` its packed masks
+    leave for keys of `width` bits each.
     """
     index: dict[int, int] = {}
     for start in starts:
@@ -143,7 +149,8 @@ def subset_walk(
     full = (1 << width) - 1
     rows: list[list[int]] = [[] for _ in masks]
     lanes = [(row, k * width) for k, row in enumerate(rows)]
-    cap = MAX_SUBSET_STATES
+    room = max(0, MAX_SUBSET_BITS - sum(map(int.bit_length, packed)))
+    cap = min(MAX_SUBSET_STATES, room // max(width, 1))
     for subset in keys:  # keys grows while it is read: it is the BFS queue
         union = 0
         while subset:

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 
 from statecomplexity import (
+    CapacityError,
     Dfa,
     WitnessClass,
     apply_dialect,
@@ -20,6 +23,7 @@ from statecomplexity import (
     reverse,
     trim_alphabet,
 )
+from statecomplexity import automata
 from statecomplexity.atoms import explicit_profiles
 
 from conftest import (
@@ -193,6 +197,38 @@ def test_shared_walk_edge_cases():
     profiles = [{0, 2}, {1}, set(), {0, 1, 2}]
     assert atom_complexities(empty_alphabet, profiles) == [1, 1, 1, 1]
     assert per_profile_counts(empty_alphabet, profiles) == [1, 1, 1, 1]
+
+
+def test_atomaton_past_the_bit_budget_raises_before_building_its_masks(monkeypatch):
+    # REG n=11 has 2,048 atoms over 4 letters, so its packed átomaton
+    # masks would take about 4·2048² bits (2 MiB): a 2^20-bit budget
+    # refuses them once the reversal walk has counted the atoms.
+    monkeypatch.setattr(automata, "MAX_SUBSET_BITS", 1 << 20)
+    d = build_regular(11)
+    profiles = atoms(d)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="over 2048 atoms and 4 letters"):
+            atom_complexities(d, profiles)
+        with pytest.raises(CapacityError, match="over 2048 atoms"):
+            atom_dfa(d, profiles[0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_atomaton_walk_stops_at_the_bit_budget(monkeypatch):
+    # REG n=8: 256 atoms, packed masks of about 2^18 bits, and 3^8 = 6,561
+    # walked sets of atoms of 256 bits each, about 1.6·2^20 bits.
+    d = build_regular(8)
+    profiles = atoms(d)
+    expected = atom_complexities(d, profiles)
+    monkeypatch.setattr(automata, "MAX_SUBSET_BITS", 1 << 22)
+    assert atom_complexities(d, profiles) == expected
+    monkeypatch.setattr(automata, "MAX_SUBSET_BITS", 1 << 20)
+    with pytest.raises(CapacityError, match="subset construction exceeded"):
+        atom_complexities(d, profiles)
 
 
 # --- partition property -----------------------------------------------------------

@@ -188,7 +188,7 @@ def test_subset_walk_matches_the_oracle_walk(rng, monkeypatch):
                     subset_walk(starts, masks)
             else:
                 assert subset_walk(starts, masks) == expected
-    assert 0 < capped < 1500  # both outcomes occur
+    assert 0 < capped < 750  # both outcomes occur
 
 
 def test_walk_numbers_its_starts_first_in_order_and_merges_duplicates():
@@ -198,6 +198,19 @@ def test_walk_numbers_its_starts_first_in_order_and_merges_duplicates():
     assert rows == [[2, 3, 4, 5, 1, 0]]
     assert subset_walk(iter([1 << 4]), rotate)[0] == [1 << q for q in (4, 5, 0, 1, 2, 3)]
     assert subset_walk([], rotate) == ([], [[]])
+
+
+def test_subset_walk_stops_where_its_bits_run_out(monkeypatch):
+    # A 6-state rotation packs masks of 2+3+4+5+6+1 = 21 bits, and its
+    # walk from one state numbers 6 keys of 6 bits: 57 bits in all.
+    from statecomplexity import CapacityError, automata
+
+    rotate = [[1 << (q + 1) % 6 for q in range(6)]]
+    monkeypatch.setattr(automata, "MAX_SUBSET_BITS", 57)
+    assert len(subset_walk([1], rotate)[0]) == 6
+    monkeypatch.setattr(automata, "MAX_SUBSET_BITS", 56)
+    with pytest.raises(CapacityError, match="exceeded 5 states"):
+        subset_walk([1], rotate)
 
 
 def test_determinize_raises_capacity_error(monkeypatch):

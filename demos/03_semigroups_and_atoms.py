@@ -3,6 +3,8 @@
 Run:  python demos/03_semigroups_and_atoms.py
 """
 
+from itertools import count, islice, product
+
 from statecomplexity import (
     apply_dialect,
     atom_dfa,
@@ -20,13 +22,13 @@ from statecomplexity import (
 
 # The transition semigroup collects the transformations of all non-empty
 # words. For the three-letter regular witness it is the full n^n monoid.
-# Each element is bytes whose entry q is the image of state q:
+# Each element is bytes whose entry q is the image of state q, the state
+# the word leads q to; the first words in length-then-alphabet order:
 d = apply_dialect(build_regular(3), parse_dialect("a,b,c"))
-closure = transition_semigroup(d, with_words=True)
-print("semigroup size of the 3-state witness:", len(closure), "= 3^3")
-some = sorted(closure.generator_words.items(), key=lambda kv: (len(kv[1]), kv[1]))[:5]
-for t, w in some:
-    print(f"  shortest word {w!r} induces {tuple(t)}")
+print("semigroup size of the 3-state witness:", len(transition_semigroup(d)), "= 3^3")
+words = ("".join(w) for k in count(1) for w in product(d.alphabet, repeat=k))
+for w in islice(words, 5):
+    print(f"  word {w!r} induces {tuple(d.run(q, w) for q in range(d.state_count))}")
 
 print("\nsyntactic semigroup sizes by class:")
 print("  regular n=4:   ", syntactic_semigroup_size(apply_dialect(build_regular(4), parse_dialect("a,b,c"))), "= 4^4")

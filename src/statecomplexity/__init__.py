@@ -7,7 +7,7 @@ witness families attaining them turns the documented complexity tables
 into an executable regression suite (see the `verify` CLI subcommand).
 """
 
-from .algebra import SemigroupClosure, syntactic_semigroup_size, transition_semigroup
+from .algebra import syntactic_semigroup_size, transition_semigroup
 from .atoms import (
     atom_complexities,
     atom_dfa,

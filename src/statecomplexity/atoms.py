@@ -41,32 +41,33 @@ def _profile(s: Iterable[int], n: int) -> frozenset[int]:
     return s
 
 
-def _atomaton(d: Dfa, profiles: Iterable[Iterable[int]]) -> tuple[list[int], list[list[int]]]:
-    """Each profile's atom as a set of atoms, and the átomaton's masks.
+def _atomaton(d: Dfa) -> tuple[list[int], list[list[int]]]:
+    """The realized profiles, numbered as atoms, and the átomaton's masks.
 
     The reversal's subset walk from the final states (see `atoms`) sends
-    the profile of w, on letter a, to the profile of aw. Atoms are
-    numbered as it numbers their profiles, key 0 being the profile of the
-    empty word, and a set of atoms is the bitmask of their numbers: an
-    unrealized profile's atom is the empty set. The quotient of atom S by
-    a is the union of the atoms T whose walk row on a sends T to S, so
-    the masks are the preimage masks of the walk's rows, and a set of
-    atoms holds the empty word iff it holds atom 0.
+    the profile of w, on letter a, to the profile of aw. Its keys are the
+    realized profiles, and atom i is the one whose profile is key i, key 0
+    being the profile of the empty word. A set of atoms is the bitmask of
+    their numbers. The quotient of atom S by a is the union of the atoms T
+    whose walk row on a sends T to S, so the masks are the preimage masks
+    of the walk's rows, and a set of atoms holds the empty word iff it
+    holds atom 0.
 
     Each of the k·A masks over A atoms can be A bits wide, and the walk
     packs them into A ints of k·A bits, so when k·A² exceeds
     `MAX_SUBSET_BITS` this raises `CapacityError` before building any.
     """
-    n = d.state_count
-    profiles = [bits(_profile(s, n)) for s in profiles]
     keys, rows = subset_walk((bits(d.finals),), preimage_masks(d.delta))
     if len(rows) * len(keys) ** 2 > automata.MAX_SUBSET_BITS:
         raise CapacityError(
             f"átomaton masks over {len(keys)} atoms and {len(rows)} letters"
             f" exceed {automata.MAX_SUBSET_BITS} bits"
         )
-    atom = {key: 1 << number for number, key in enumerate(keys)}
-    return [atom.get(s, 0) for s in profiles], preimage_masks(rows)
+    return keys, preimage_masks(rows)
+
+
+def _states(mask: int, n: int) -> frozenset[int]:
+    return frozenset(q for q in range(n) if mask >> q & 1)
 
 
 def atom_dfa(d: Dfa, s: Iterable[int]) -> Dfa:
@@ -79,30 +80,29 @@ def atom_dfa(d: Dfa, s: Iterable[int]) -> Dfa:
     steps by one OR of a packed mask per atom it holds.
     The result is deliberately not alphabet-trimmed: atoms are read as
     languages over the same alphabet as the input. An atom with no words
-    comes back as the one-state dead DFA, so S is realized iff the result
-    has a final state.
+    is the empty set of atoms and comes back as the one-state dead DFA, so
+    S is realized iff the result has a final state.
     """
-    (start,), masks = _atomaton(d, [s])
+    s = bits(_profile(s, d.state_count))
+    keys, masks = _atomaton(d)
+    start = 1 << keys.index(s) if s in keys else 0
     return determinize(d.alphabet, start, masks, lambda union: union & 1)
 
 
-def atom_complexities(d: Dfa, profiles: Iterable[Iterable[int]]) -> list[int]:
-    """The state count of `atom_dfa(d, s)` for each profile s, in order.
+def atom_complexities(d: Dfa) -> dict[frozenset[int], int]:
+    """`atom_dfa(d, s).state_count` for every profile s of `atoms(d)`, in its order.
 
-    One subset walk of the átomaton from every profile's atom at once
-    serves all the profiles: the sets of atoms reachable from S's atom
-    are exactly the states of `atom_dfa(d, s)`. One pass over the
-    strongly connected components of the walk, sinks first, gives every
-    walked set the bitmask of the sets it reaches, and a profile's count
-    is that mask's popcount at its start. An empty atom counts 1, like
-    the one-state dead DFA.
+    One subset walk of the átomaton from every atom at once serves all the
+    profiles: the sets of atoms reachable from S's atom are exactly the
+    states of `atom_dfa(d, s)`. The walk starts from the singletons, so
+    atom i is walked set i. One pass over the strongly connected
+    components of the walk, sinks first, gives every walked set the
+    bitmask of the sets it reaches, and an atom's count is that mask's
+    popcount.
     """
-    profiles = list(profiles)
-    if not profiles:
-        return []
-    starts, masks = _atomaton(d, profiles)
-    keys, rows = subset_walk(starts, masks)
-    successors = [[row[v] for row in rows] for v in range(len(keys))]
+    keys, masks = _atomaton(d)
+    walked, rows = subset_walk([1 << i for i in range(len(keys))], masks)
+    successors = [[row[v] for row in rows] for v in range(len(walked))]
     comp = components(successors)
     # reach[k]: bitmask of the sets reachable from component k. Edges go
     # to the same or a lower component, so each is complete when read.
@@ -111,9 +111,10 @@ def atom_complexities(d: Dfa, profiles: Iterable[Iterable[int]]) -> list[int]:
         reach[comp[v]] |= 1 << v
         for e in successors[v]:
             reach[comp[v]] |= reach[comp[e]]
-    # The walk numbers the distinct starts first, in the order given.
-    number = {start: v for v, start in enumerate(dict.fromkeys(starts))}
-    return [reach[comp[number[start]]].bit_count() for start in starts]
+    return {
+        _states(key, d.state_count): reach[comp[i]].bit_count()
+        for key, i in sorted(zip(keys, range(len(keys))))
+    }
 
 
 def atoms(d: Dfa) -> list[frozenset[int]]:
@@ -126,9 +127,7 @@ def atoms(d: Dfa) -> list[frozenset[int]]:
     rather than to 2^n.
     """
     profiles, _ = subset_walk((bits(d.finals),), preimage_masks(d.delta))
-    return [
-        frozenset(q for q in range(d.state_count) if mask >> q & 1) for mask in sorted(profiles)
-    ]
+    return [_states(mask, d.state_count) for mask in sorted(profiles)]
 
 
 def _require_witness(witness_class: WitnessClass, n: int) -> None:

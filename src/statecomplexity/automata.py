@@ -93,7 +93,7 @@ class Dfa:
 
     def run(self, q: int, word: str) -> int:
         """The state that `word` leads to from state q."""
-        if not 0 <= q < self.state_count:
+        if type(q) is not int or not 0 <= q < self.state_count:
             raise ValueError(f"state {q!r} out of range 0..{self.state_count - 1}")
         table = dict(zip(self.alphabet, self.delta))
         for letter in word:

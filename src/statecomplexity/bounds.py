@@ -279,18 +279,16 @@ def _check_atoms(entry: BoundEntry, n: int) -> tuple[int, int]:
     witness = entry.lhs.build(n)
     if minimize(witness).state_count != witness.state_count:
         raise ValueError(f"witness {entry.lhs} is not minimal at n={n}")
-    realized = atoms(witness)
-    checks = set(realized) | set(explicit_profiles(entry.lhs.witness, n))
+    counts = atom_complexities(witness)
+    checks = counts.keys() | explicit_profiles(entry.lhs.witness, n)
     # A named profile with no atom, and a realized atom the closed forms
     # do not cover, are never passed.
-    covered: dict[frozenset[int], int] = {}
-    for s in realized:
+    passed = 0
+    for s, count in counts.items():
         try:
-            covered[s] = atom_formula(entry.lhs.witness, n, s)
+            passed += count == atom_formula(entry.lhs.witness, n, s)
         except ValueError:
             continue
-    counts = atom_complexities(witness, covered)
-    passed = sum(count == expected for count, expected in zip(counts, covered.values()))
     return len(checks), passed
 
 

@@ -97,12 +97,11 @@ def _cmd_measure(args: argparse.Namespace) -> int:
         for q in range(minimal.state_count):
             print(f"state {q}: kappa={quotient_complexity_of_state(minimal, q)}")
         return 0
-    realized = atoms(minimal)
     if what == "atoms":
-        print(f"atoms={len(realized)}")
+        print(f"atoms={len(atoms(minimal))}")
         return 0
     # atom-complexities: one line per realized profile of the minimal DFA
-    for s, kappa in zip(realized, atom_complexities(minimal, realized)):
+    for s, kappa in atom_complexities(minimal).items():
         label = "{" + ",".join(str(q) for q in sorted(s)) + "}"
         print(f"S={label}: kappa={kappa}")
     return 0

@@ -319,29 +319,23 @@ def language_alphabet_oracle(d: Dfa) -> tuple[str, ...]:
     return tuple(a for a, row in zip(d.alphabet, d.delta) if any(row[q] in useful for q in order))
 
 
-def semigroup_oracle(d: Dfa) -> dict[tuple[int, ...], str]:
-    """Each transformation of a non-empty word, as an int tuple, with its
-    first word in length-then-alphabet order.
+def semigroup_oracle(d: Dfa) -> set[tuple[int, ...]]:
+    """Each transformation of a non-empty word, as an int tuple.
 
     Breadth-first closure composing int tuples pointwise in diagrammatic
     order (t then g sends q to g[t[q]]); an oracle against the library's
     `bytes` closure.
     """
-    words: dict[tuple[int, ...], str] = {}
-    generators = list(zip(d.alphabet, d.delta))
-    queue: deque[tuple[int, ...]] = deque()
-    for letter, g in generators:
-        if g not in words:
-            words[g] = letter
-            queue.append(g)
+    seen = set(d.delta)
+    queue = deque(seen)
     while queue:
         t = queue.popleft()
-        for letter, g in generators:
+        for g in d.delta:
             composed = tuple(g[q] for q in t)
-            if composed not in words:
-                words[composed] = words[t] + letter
+            if composed not in seen:
+                seen.add(composed)
                 queue.append(composed)
-    return words
+    return seen
 
 
 def is_isomorphic(d1: Dfa, d2: Dfa) -> bool:

@@ -104,7 +104,7 @@ def test_empty_atom_is_distinct_from_trivial():
     missing = frozenset({0})  # profiles without the absorbing final state are empty
     a = atom_dfa(d, missing)
     assert a.state_count == 1 and not a.finals
-    assert atom_complexities(d, [missing]) == [1]
+    assert missing not in atom_complexities(d)
 
 
 def test_atom_counts_of_witnesses():
@@ -159,44 +159,43 @@ def test_atomaton_matches_the_pair_oracle_on_random_dfas(rng):
             a = atom_dfa(d, s)
             assert a == oracle, (d, s)
             assert minimize(a) is a
-        assert atom_complexities(d, profiles) == [o.state_count for o in oracles]
+        # The oracle has a final state iff S is realized.
+        assert atom_complexities(d) == {
+            s: o.state_count for s, o in zip(profiles, oracles) if o.finals
+        }
 
 
 # --- one shared átomaton walk for many profiles -------------------------------------
 
 
-def per_profile_counts(d: Dfa, profiles) -> list[int]:
-    return [atom_dfa(d, s).state_count for s in profiles]
+def assert_counts_match_atom_dfa(d: Dfa) -> None:
+    counts = atom_complexities(d)
+    assert list(counts) == atoms(d)
+    assert all(count == atom_dfa(d, s).state_count for s, count in counts.items())
 
 
 def test_shared_walk_counts_match_atom_dfa_on_random_dfas(rng):
     for _ in range(300):
-        d = trim_alphabet(random_dfa(rng, max_states=6, letters="abc"))
-        profiles = atoms(d) + [frozenset(), frozenset(range(d.state_count))]
-        profiles.append(rng.choice(profiles))
-        rng.shuffle(profiles)
-        assert atom_complexities(d, profiles) == per_profile_counts(d, profiles)
+        assert_counts_match_atom_dfa(trim_alphabet(random_dfa(rng, max_states=6, letters="abc")))
 
 
 @pytest.mark.parametrize("tag", ["REG", "RID", "LID", "TID"])
 def test_shared_walk_counts_match_atom_dfa_on_witnesses(tag):
     recipe = registry_by_id()[f"{tag}-ATOMS"].lhs
     for n in range(recipe.witness.min_n, 7):
-        d = recipe.build(n)
-        profiles = atoms(d)
-        assert atom_complexities(d, profiles) == per_profile_counts(d, profiles)
+        assert_counts_match_atom_dfa(recipe.build(n))
 
 
 def test_shared_walk_edge_cases():
-    assert atom_complexities(reg(3), []) == []
     tid = build_two_sided_ideal(5)
     missing = frozenset({0, 2, 3, 4})  # no word has this profile
     assert not atom_dfa(tid, missing).finals
-    assert atom_complexities(tid, [missing, range(5)]) == [1, 5]
+    counts = atom_complexities(tid)
+    assert missing not in counts and counts[frozenset(range(5))] == 5
     empty_alphabet = Dfa(3, (), (), 0, frozenset({0, 2}))
-    profiles = [{0, 2}, {1}, set(), {0, 1, 2}]
-    assert atom_complexities(empty_alphabet, profiles) == [1, 1, 1, 1]
-    assert per_profile_counts(empty_alphabet, profiles) == [1, 1, 1, 1]
+    assert atom_complexities(empty_alphabet) == {frozenset({0, 2}): 1}
+    for s in [{0, 2}, {1}, set(), {0, 1, 2}]:
+        assert atom_dfa(empty_alphabet, s).state_count == 1
 
 
 def test_atomaton_past_the_bit_budget_raises_before_building_its_masks(monkeypatch):
@@ -209,7 +208,7 @@ def test_atomaton_past_the_bit_budget_raises_before_building_its_masks(monkeypat
     tracemalloc.start()
     try:
         with pytest.raises(CapacityError, match="over 2048 atoms and 4 letters"):
-            atom_complexities(d, profiles)
+            atom_complexities(d)
         with pytest.raises(CapacityError, match="over 2048 atoms"):
             atom_dfa(d, profiles[0])
         peak = tracemalloc.get_traced_memory()[1]
@@ -222,13 +221,12 @@ def test_atomaton_walk_stops_at_the_bit_budget(monkeypatch):
     # REG n=8: 256 atoms, packed masks of about 2^18 bits, and 3^8 = 6,561
     # walked sets of atoms of 256 bits each, about 1.6·2^20 bits.
     d = build_regular(8)
-    profiles = atoms(d)
-    expected = atom_complexities(d, profiles)
+    expected = atom_complexities(d)
     monkeypatch.setattr(automata, "MAX_SUBSET_BITS", 1 << 22)
-    assert atom_complexities(d, profiles) == expected
+    assert atom_complexities(d) == expected
     monkeypatch.setattr(automata, "MAX_SUBSET_BITS", 1 << 20)
     with pytest.raises(CapacityError, match="subset construction exceeded"):
-        atom_complexities(d, profiles)
+        atom_complexities(d)
 
 
 # --- partition property -----------------------------------------------------------
@@ -313,9 +311,8 @@ def test_formula_rejects_unlisted_profiles():
     [
         lambda s: atom_formula(WitnessClass.REGULAR, 3, s),
         lambda s: atom_dfa(build_regular(3), s),
-        lambda s: atom_complexities(build_regular(3), [s]),
     ],
-    ids=["atom_formula", "atom_dfa", "atom_complexities"],
+    ids=["atom_formula", "atom_dfa"],
 )
 def test_profiles_naming_no_state_are_rejected(call, profile):
     # True == 1, but a profile names its states by int, as a Dfa does.

@@ -355,6 +355,27 @@ def test_cli_writes_the_golden_bytes(tmp_path, capsys, witness_class):
         assert stdout == f"kappa={int(expected.split()[1])}\n"
 
 
+@pytest.mark.parametrize("name", ["regular", "right", "left", "twosided", "random"])
+def test_measure_writes_the_golden_bytes(tmp_path, capsys, name):
+    # measure-NAME.txt holds what `measure atoms`, `measure
+    # atom-complexities` and `measure semigroup` printed, in that order, on
+    # the default witness at n=6 or on random-7.dfa, a seeded random
+    # 7-state DFA over three letters, before the atom and semigroup paths
+    # were rewritten: the rewrite must not change a byte of that output.
+    if name == "random":
+        path = GOLDEN / "random-7.dfa"
+    else:
+        path = tmp_path / "witness.dfa"
+        code, _, _ = run_cli(capsys, "witness", "gen", name, "6", "-o", str(path))
+        assert code == 0
+    stdout = ""
+    for quantity in ("atoms", "atom-complexities", "semigroup"):
+        code, out, _ = run_cli(capsys, "measure", quantity, str(path))
+        assert code == 0
+        stdout += out
+    assert stdout.encode() == (GOLDEN / f"measure-{name}.txt").read_bytes()
+
+
 def test_module_entry_point(tmp_path):
     import subprocess
     import sys

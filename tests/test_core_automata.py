@@ -591,7 +591,9 @@ def test_accepts_rejects_foreign_letters():
         accepts(fig_ends_in_b(), "abc")
 
 
-@pytest.mark.parametrize("q,word", [(-1, "a"), (3, ""), (7, "a")])
+@pytest.mark.parametrize(
+    "q,word", [(-1, "a"), (3, ""), (7, "a"), (True, ""), (0.5, ""), (0.5, "a")]
+)
 def test_run_rejects_a_start_outside_the_states(q, word):
     d = build_regular(3)
     with pytest.raises(ValueError, match="out of range 0..2"):

@@ -57,6 +57,26 @@ def test_benchmark_traced_method_exists(module, cls, method):
     assert callable(getattr(getattr(holder, cls), method))
 
 
+def test_benchmark_tracer_counts_the_traced_results():
+    # bench/spans.py reads its counts off the traced calls' results, and no
+    # benchmark workload calls transition_semigroup. Calls go through the
+    # package namespace, which install() patches.
+    import statecomplexity
+
+    tracer = _SPANS.Tracer()
+    tracer.install()
+    try:
+        d = statecomplexity.build_regular(4)
+        closure = statecomplexity.transition_semigroup(d)
+        statecomplexity.atom_dfa(d, statecomplexity.atoms(d)[0])
+    finally:
+        tracer.uninstall()
+    table = _SPANS.summarize(tracer.spans, 0)
+    assert table["algebra.semigroup"]["elements"] == len(closure) == 4**4
+    for name in ("algebra.semigroup", "atoms.enumerate", "atoms.atom_dfa"):
+        assert table[name]["calls"] == 1, name
+
+
 def test_readme_library_examples_print_their_comments():
     readme = (ROOT / "README.md").read_text()
     section = readme.split("## Library in one look", 1)[1].split("\n## ", 1)[0]

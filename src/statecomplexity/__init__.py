@@ -34,13 +34,9 @@ from .operations import (
     OpResult,
     boolean,
     complement,
-    is_left_ideal,
-    is_right_ideal,
-    is_two_sided_ideal,
     product,
     reverse,
     star,
-    universal_dfa,
 )
 from .bounds import (
     BoundEntry,

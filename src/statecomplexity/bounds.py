@@ -39,6 +39,20 @@ BOOLEAN_BY_NAME = {
     "convimpl": BooleanOp.CONVERSE_IMPL,
 }
 
+# The one table of operation names: registry entries and the CLI's `op`
+# and `measure` resolve names here. Constructions return an `OpResult`;
+# measures return an int.
+BINARY_OPS = {
+    "product": product,
+    **{name: functools.partial(boolean, op) for name, op in BOOLEAN_BY_NAME.items()},
+}
+UNARY_OPS = {"star": star, "reverse": reverse}
+MEASURES = {
+    "complexity": quotient_complexity,
+    "semigroup": syntactic_semigroup_size,
+    "atom-count": lambda d: len(atoms(trim_alphabet(d))),
+}
+
 @dataclass(frozen=True)
 class WitnessRecipe:
     """A witness class plus the dialect that renames or drops its letters."""
@@ -302,23 +316,12 @@ def evaluate_cell(entry: BoundEntry, m: Optional[int], n: int) -> VerificationRo
         else:
             expected = entry.expected(m, n)
             lhs = entry.lhs.build(m if entry.is_binary else n)
-            if entry.operation == "product":
-                measured = product(lhs, entry.rhs.build(n)).kappa
-            elif entry.operation in BOOLEAN_BY_NAME:
-                op = BOOLEAN_BY_NAME[entry.operation]
-                measured = boolean(op, lhs, entry.rhs.build(n)).kappa
-            elif entry.operation == "star":
-                measured = star(lhs).kappa
-            elif entry.operation == "reverse":
-                measured = reverse(lhs).kappa
-            elif entry.operation == "complexity":
-                measured = quotient_complexity(lhs)
-            elif entry.operation == "semigroup":
-                measured = syntactic_semigroup_size(lhs)
-            elif entry.operation == "atom-count":
-                measured = len(atoms(trim_alphabet(lhs)))
+            if entry.is_binary:
+                measured = BINARY_OPS[entry.operation](lhs, entry.rhs.build(n)).kappa
+            elif entry.operation in UNARY_OPS:
+                measured = UNARY_OPS[entry.operation](lhs).kappa
             else:
-                raise ValueError(f"unknown operation {entry.operation!r}")
+                measured = MEASURES[entry.operation](lhs)
     except Exception as exc:  # failed cells become failed rows, not crashes
         try:
             expected = -1 if entry.operation == "atoms" else entry.expected(m, n)

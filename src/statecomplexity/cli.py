@@ -10,10 +10,13 @@ Subcommands:
            [--format csv|markdown] [--jobs K]
     registry list
 
+The binary operations take LHS.dfa and RHS.dfa; star, reverse and
+complement take LHS.dfa alone, and only complement takes --universe.
+
 Exit codes: 0 on success (and when every verified row matches), 1 when a
 verification row mismatches, 2 on usage errors, unreadable files or
 file-parse errors, 3 when a construction exceeds its state or element
-budget (CapacityError).
+budget (CapacityError) or the process runs out of memory (MemoryError).
 """
 
 from __future__ import annotations
@@ -22,22 +25,24 @@ import argparse
 import sys
 from typing import Optional
 
-from .algebra import syntactic_semigroup_size
-from .atoms import atom_complexities, atoms
-from .automata import (
-    CapacityError,
-    Dfa,
-    quotient_complexity,
-    quotient_complexity_of_state,
-    trim_alphabet,
-)
+from .atoms import atom_complexities
+from .automata import CapacityError, Dfa, quotient_complexity_of_state, trim_alphabet
 from .dfafile import parse_dfa, render_dfa
-from .operations import boolean, complement, product, reverse, star
-from .bounds import BOOLEAN_BY_NAME, WitnessRecipe, all_match, emit_report, registry, run_sweep
+from .operations import complement
+from .bounds import (
+    BINARY_OPS,
+    MEASURES,
+    UNARY_OPS,
+    WitnessRecipe,
+    all_match,
+    emit_report,
+    registry,
+    run_sweep,
+)
 from .witnesses import WitnessClass
 
-_BINARY_OPS = ("product", *BOOLEAN_BY_NAME)
-_OP_NAMES = (*_BINARY_OPS, "star", "reverse", "complement")
+# `measure` quantities that are registry measures, by their registry names.
+_QUANTITIES = {"kappa": "complexity", "semigroup": "semigroup", "atoms": "atom-count"}
 
 
 def _load_dfa(path: str) -> Dfa:
@@ -60,20 +65,18 @@ def _cmd_witness(args: argparse.Namespace) -> int:
 
 
 def _cmd_op(args: argparse.Namespace) -> int:
-    lhs = _load_dfa(args.lhs)
     name = args.op_name
-    if name in _BINARY_OPS:
-        if args.rhs is None:
-            raise UsageError(f"operation {name!r} needs a right operand file")
-        rhs = _load_dfa(args.rhs)
-        if name == "product":
-            result = product(lhs, rhs)
-        else:
-            result = boolean(BOOLEAN_BY_NAME[name], lhs, rhs)
-    elif name == "star":
-        result = star(lhs)
-    elif name == "reverse":
-        result = reverse(lhs)
+    if name in BINARY_OPS and args.rhs is None:
+        raise UsageError(f"operation {name!r} needs a right operand file")
+    if name not in BINARY_OPS and args.rhs is not None:
+        raise UsageError(f"operation {name!r} takes no right operand file")
+    if name != "complement" and args.universe is not None:
+        raise UsageError(f"--universe applies to complement only, not to {name!r}")
+    lhs = _load_dfa(args.lhs)
+    if name in BINARY_OPS:
+        result = BINARY_OPS[name](lhs, _load_dfa(args.rhs))
+    elif name in UNARY_OPS:
+        result = UNARY_OPS[name](lhs)
     else:  # complement
         universe = tuple(args.universe) if args.universe else lhs.alphabet
         result = complement(lhs, universe)
@@ -86,19 +89,13 @@ def _cmd_op(args: argparse.Namespace) -> int:
 def _cmd_measure(args: argparse.Namespace) -> int:
     d = _load_dfa(args.dfa_file)
     what = args.quantity
-    if what == "kappa":
-        print(f"kappa={quotient_complexity(d)}")
-        return 0
-    if what == "semigroup":
-        print(f"semigroup={syntactic_semigroup_size(d)}")
+    if what in _QUANTITIES:
+        print(f"{what}={MEASURES[_QUANTITIES[what]](d)}")
         return 0
     minimal = trim_alphabet(d)
     if what == "quotients":
         for q in range(minimal.state_count):
             print(f"state {q}: kappa={quotient_complexity_of_state(minimal, q)}")
-        return 0
-    if what == "atoms":
-        print(f"atoms={len(atoms(minimal))}")
         return 0
     # atom-complexities: one line per realized profile of the minimal DFA
     for s, kappa in atom_complexities(minimal).items():
@@ -167,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.set_defaults(handler=_cmd_witness)
 
     op = sub.add_parser("op", help="apply an operation to DFA files")
-    op.add_argument("op_name", choices=_OP_NAMES)
+    op.add_argument("op_name", choices=(*BINARY_OPS, *UNARY_OPS, "complement"))
     op.add_argument("lhs", metavar="LHS.dfa")
     op.add_argument("rhs", metavar="RHS.dfa", nargs="?", default=None)
     op.add_argument("--universe", default=None, help="universe letters for complement, e.g. abc")
@@ -175,10 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     op.set_defaults(handler=_cmd_op)
 
     measure = sub.add_parser("measure", help="measure a quantity of a DFA file")
-    measure.add_argument(
-        "quantity",
-        choices=("kappa", "semigroup", "atoms", "atom-complexities", "quotients"),
-    )
+    measure.add_argument("quantity", choices=(*_QUANTITIES, "atom-complexities", "quotients"))
     measure.add_argument("dfa_file", metavar="FILE.dfa")
     measure.set_defaults(handler=_cmd_measure)
 
@@ -211,6 +205,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError:  # its message is empty
+        print("error: out of memory", file=sys.stderr)
         return 3
 
 

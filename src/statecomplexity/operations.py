@@ -14,7 +14,7 @@ its operand is minimized first, and the preimage walk of a minimal DFA
 is minimal by Brzozowski's theorem, so it is not refined.
 
 Two languages are equal iff `trim_alphabet` gives the same DFA for both
-over the same letter order (minimize is canonical), as `_is_ideal` does.
+over the same letter order (minimize is canonical).
 """
 
 from __future__ import annotations
@@ -190,45 +190,3 @@ def reverse(d: Dfa) -> OpResult:
     trimmed = _trim_minimal(subsets)
     return OpResult(dfa=trimmed, kappa=trimmed.state_count)
 
-
-def universal_dfa(alphabet: tuple[str, ...] | str) -> Dfa:
-    """One-state DFA accepting every word over the alphabet."""
-    alphabet = make_alphabet(alphabet)
-    return Dfa(
-        state_count=1,
-        alphabet=alphabet,
-        delta=((0,),) * len(alphabet),
-        initial=0,
-        finals=frozenset({0}),
-    )
-
-
-def _is_ideal(d: Dfa, prepend: bool, append: bool) -> bool:
-    trimmed = trim_alphabet(d)
-    if not trimmed.finals:
-        return False  # ideals are non-empty by definition
-    sigma = trimmed.alphabet
-    if not sigma:
-        return False  # the language {epsilon} cannot absorb anything
-    grown = trimmed
-    universe = universal_dfa(sigma)
-    if prepend:
-        grown = product(universe, grown).dfa
-    if append:
-        grown = product(grown, universe).dfa
-    return grown == trimmed  # minimize is canonical
-
-
-def is_right_ideal(d: Dfa) -> bool:
-    """True iff L is non-empty and absorbs its alphabet on the right."""
-    return _is_ideal(d, prepend=False, append=True)
-
-
-def is_left_ideal(d: Dfa) -> bool:
-    """True iff L is non-empty and absorbs its alphabet on the left."""
-    return _is_ideal(d, prepend=True, append=False)
-
-
-def is_two_sided_ideal(d: Dfa) -> bool:
-    """True iff L is non-empty and absorbs its alphabet on both sides."""
-    return _is_ideal(d, prepend=True, append=True)

@@ -9,7 +9,14 @@ from typing import Iterable
 
 import pytest
 
-from statecomplexity import BooleanOp, Dfa, make_alphabet, union_alphabets
+from statecomplexity import (
+    BooleanOp,
+    Dfa,
+    make_alphabet,
+    product,
+    trim_alphabet,
+    union_alphabets,
+)
 
 
 def fig_ends_in_b() -> Dfa:
@@ -438,6 +445,49 @@ def equivalent(d1: Dfa, d2: Dfa) -> bool:
     """True iff the two languages are equal as word sets: no reachable
     pair of their sink product accepts on exactly one side."""
     return not sink_product(BooleanOp.SYMDIFF, d1, d2).finals
+
+
+def universal_dfa(alphabet: tuple[str, ...] | str) -> Dfa:
+    """One-state DFA accepting every word over the alphabet."""
+    alphabet = make_alphabet(alphabet)
+    return Dfa(
+        state_count=1,
+        alphabet=alphabet,
+        delta=((0,),) * len(alphabet),
+        initial=0,
+        finals=frozenset({0}),
+    )
+
+
+def _is_ideal(d: Dfa, prepend: bool, append: bool) -> bool:
+    trimmed = trim_alphabet(d)
+    if not trimmed.finals:
+        return False  # ideals are non-empty by definition
+    sigma = trimmed.alphabet
+    if not sigma:
+        return False  # the language {epsilon} cannot absorb anything
+    grown = trimmed
+    universe = universal_dfa(sigma)
+    if prepend:
+        grown = product(universe, grown).dfa
+    if append:
+        grown = product(grown, universe).dfa
+    return grown == trimmed  # minimize is canonical
+
+
+def is_right_ideal(d: Dfa) -> bool:
+    """True iff L is non-empty and absorbs its alphabet on the right."""
+    return _is_ideal(d, prepend=False, append=True)
+
+
+def is_left_ideal(d: Dfa) -> bool:
+    """True iff L is non-empty and absorbs its alphabet on the left."""
+    return _is_ideal(d, prepend=True, append=False)
+
+
+def is_two_sided_ideal(d: Dfa) -> bool:
+    """True iff L is non-empty and absorbs its alphabet on both sides."""
+    return _is_ideal(d, prepend=True, append=True)
 
 
 @pytest.fixture

@@ -94,11 +94,28 @@ def test_op_complement_with_universe(tmp_path, capsys):
     assert stdout.strip() == "kappa=2"  # words over {a,b} containing a b
 
 
-def test_op_missing_rhs_is_usage_error(tmp_path, capsys):
-    path = tmp_path / "w.dfa"
-    path.write_text(render_dfa(fig_ends_in_b()))
-    code, _, stderr = run_cli(capsys, "op", "union", str(path))
-    assert code == 2 and "right operand" in stderr
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        pytest.param(("union", "w.dfa"), "needs a right operand", id="union-no-rhs"),
+        pytest.param(("star", "w.dfa", "w.dfa"), "takes no right operand", id="star-rhs"),
+        pytest.param(("reverse", "w.dfa", "w.dfa"), "takes no right operand", id="reverse-rhs"),
+        pytest.param(
+            ("complement", "w.dfa", "w.dfa"), "takes no right operand", id="complement-rhs"
+        ),
+        pytest.param(
+            ("union", "w.dfa", "w.dfa", "--universe", "xyz"), "--universe", id="union-universe"
+        ),
+        pytest.param(("star", "w.dfa", "--universe", "xyz"), "--universe", id="star-universe"),
+    ],
+)
+def test_op_missing_rhs_is_usage_error(tmp_path, capsys, monkeypatch, argv, message):
+    """A missing or unusable operand is one `error:` line and exit 2."""
+    (tmp_path / "w.dfa").write_text(render_dfa(fig_ends_in_b()))
+    monkeypatch.chdir(tmp_path)
+    code, stdout, stderr = run_cli(capsys, "op", *argv)
+    assert code == 2 and stdout == ""
+    assert stderr.startswith("error: ") and len(stderr.splitlines()) == 1 and message in stderr
 
 
 def test_measure_quantities(tmp_path, capsys):
@@ -190,6 +207,20 @@ def test_huge_state_count_needs_no_memory_per_state(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "kappa=1"
+
+
+def test_memory_error_is_exit_3_with_one_line(tmp_path, capsys, monkeypatch):
+    import statecomplexity.bounds as reg_mod
+
+    def exhaust(d):
+        raise MemoryError
+
+    path = tmp_path / "w.dfa"
+    path.write_text(render_dfa(fig_ends_in_b()))
+    monkeypatch.setitem(reg_mod.MEASURES, "semigroup", exhaust)
+    code, stdout, stderr = run_cli(capsys, "measure", "semigroup", str(path))
+    assert code == 3 and stdout == ""
+    assert stderr.splitlines() == ["error: out of memory"]
 
 
 def test_missing_file_is_exit_2(capsys):

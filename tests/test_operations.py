@@ -24,7 +24,6 @@ from statecomplexity import (
     star,
     trim_alphabet,
     union_alphabets,
-    universal_dfa,
 )
 from statecomplexity.automata import bits, preimage_masks
 
@@ -33,10 +32,14 @@ from conftest import (
     equivalent,
     fig_ends_in_b,
     fig_ends_in_c,
+    is_left_ideal,
+    is_right_ideal,
+    is_two_sided_ideal,
     random_dfa,
     random_dfa_over,
     random_word,
     sink_product,
+    universal_dfa,
     word_in,
 )
 
@@ -365,8 +368,6 @@ def test_boolean_over_disjoint_singletons():
 
 
 def test_ideal_predicates_on_edge_cases():
-    from statecomplexity import is_left_ideal, is_right_ideal, is_two_sided_ideal
-
     empty = Dfa(1, ("a",), ((0,),), 0, frozenset())
     assert not is_right_ideal(empty)
     assert not is_left_ideal(empty)

@@ -200,14 +200,14 @@ def test_a_failing_cell_leaves_the_rest_of_its_batch_intact(recording_pool, monk
     import statecomplexity.bounds as reg_mod
 
     serial = run_sweep(ids=["REG-KAPPA"], n_range=(3, 40))
-    real = reg_mod.quotient_complexity
+    real = reg_mod.MEASURES["complexity"]
 
     def fail_at_seven(dfa):
         if dfa.state_count == 7:
             raise RuntimeError("boom")
         return real(dfa)
 
-    monkeypatch.setattr(reg_mod, "quotient_complexity", fail_at_seven)
+    monkeypatch.setitem(reg_mod.MEASURES, "complexity", fail_at_seven)
     rows = run_sweep(ids=["REG-KAPPA"], n_range=(3, 40), jobs=2)
     (pool,) = recording_pool
     (batch,) = [b for b in pool.batches if ("REG-KAPPA", None, 7) in b]
@@ -344,8 +344,8 @@ def test_construction_failures_become_failed_rows(monkeypatch):
 
     table = registry_by_id()
     entry = table["REG-KAPPA"]
-    monkeypatch.setattr(
-        reg_mod, "quotient_complexity", lambda d: (_ for _ in ()).throw(RuntimeError("boom"))
+    monkeypatch.setitem(
+        reg_mod.MEASURES, "complexity", lambda d: (_ for _ in ()).throw(RuntimeError("boom"))
     )
     row = reg_mod.evaluate_cell(entry, None, 3)
     assert not row.match and row.measured == -1 and "boom" in row.error

@@ -11,15 +11,18 @@ from statecomplexity import (
     build_regular,
     build_right_ideal,
     build_two_sided_ideal,
-    is_left_ideal,
-    is_right_ideal,
-    is_two_sided_ideal,
     minimize,
     parse_dialect,
 )
 from statecomplexity.witnesses import _constant, _cycle
 
-from conftest import is_isomorphic, random_word
+from conftest import (
+    is_isomorphic,
+    is_left_ideal,
+    is_right_ideal,
+    is_two_sided_ideal,
+    random_word,
+)
 
 
 def rows(d):

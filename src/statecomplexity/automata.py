@@ -4,8 +4,10 @@ Every DFA here is complete by construction: each letter acts on the state
 set as a total transformation, stored as a tuple of ints whose entry q is
 the image of state q. States are the integers 0..n-1, the initial state
 is a single index, and alphabets are ordered tuples of single lowercase
-letters. All values are immutable; every function returns fresh objects
-and never mutates its inputs.
+letters. No function changes a DFA's value. `minimize` caches its result
+on the instance, in a private `__dict__` slot that is not a dataclass
+field, so equality, hashing, `repr` and `dataclasses.replace` never see
+it.
 """
 
 from __future__ import annotations
@@ -19,6 +21,12 @@ MAX_SUBSET_STATES = 1 << 20
 # A key is as wide as the walk's state count, so walks over fewer than
 # about 4,000 states stop at MAX_SUBSET_STATES keys, and wider walks sooner.
 MAX_SUBSET_BITS = 1 << 32
+
+# Private `__dict__` slots of a Dfa. `_MINIMAL` holds `minimize`'s result,
+# or True when that is the Dfa itself; `_WALK` marks a `determinize`
+# result, which is accessible and numbered as `minimize` numbers.
+_MINIMAL = "_minimal"
+_WALK = "_walk"
 
 
 class CapacityError(RuntimeError):
@@ -187,13 +195,15 @@ def determinize(
     if len(masks) != len(alphabet) or len({len(row) for row in masks}) > 1:
         raise ValueError(f"masks must hold one row per letter of {alphabet!r}, all as wide")
     keys, rows = subset_walk((start,), masks)
-    return _unchecked_dfa(
+    walk = _unchecked_dfa(
         len(keys),
         alphabet,
         tuple(map(tuple, rows)),
         0,
         frozenset(i for i, key in enumerate(keys) if accepting(key)),
     )
+    walk.__dict__[_WALK] = True
+    return walk
 
 
 def _unchecked_dfa(
@@ -370,21 +380,42 @@ def nerode_classes(d: Dfa) -> list[int]:
 def minimize(d: Dfa) -> Dfa:
     """Minimal DFA for the same language over the same alphabet.
 
-    The classes of `nerode_classes` are numbered breadth-first from the
-    initial class, letters in alphabet order, as `subset_walk` numbers
-    its keys; unreachable classes are left out. So two equal languages
-    over equal alphabets yield identical (not merely isomorphic) results,
-    and an input that is already minimal and numbered that way is
-    returned as it is: each of its classes is one state, renumbered to
-    itself.
+    The classes of `nerode_classes` are numbered as `_quotient` numbers
+    them, so two equal languages over equal alphabets yield identical (not
+    merely isomorphic) results, and an input that is already minimal and
+    numbered that way is returned as it is. A `determinize` walk is
+    numbered that way already, so when no two of its states merge it is
+    returned without the renumbering pass. The result is remembered on
+    `d` and marked minimal itself, so a later call on either returns at
+    once.
     """
+    known = d.__dict__.get(_MINIMAL)
+    if known is not None:
+        return d if known is True else known
     if not d.alphabet:
         # Nothing to refine; a huge declared state count allocates nothing.
-        if d.state_count == 1:
-            return d
-        return Dfa(1, (), (), 0, frozenset({0}) if d.initial in d.finals else frozenset())
-    cls = nerode_classes(d)
-    count = max(cls) + 1
+        finals = frozenset({0}) if d.initial in d.finals else frozenset()
+        m = d if d.state_count == 1 else Dfa(1, (), (), 0, finals)
+    else:
+        cls = nerode_classes(d)
+        count = max(cls) + 1
+        merges_nothing = count == d.state_count and _WALK in d.__dict__
+        m = d if merges_nothing else _quotient(d, cls, count)
+    m.__dict__[_MINIMAL] = True
+    if m is not d:
+        d.__dict__[_MINIMAL] = m
+    return m
+
+
+def _quotient(d: Dfa, cls: list[int], count: int) -> Dfa:
+    """The DFA of the classes of `d`, numbered breadth-first.
+
+    `cls[q]` is the class 0..count-1 of state q, and the states of a class
+    must agree on every letter's class image. The classes are numbered
+    from the initial class, letters in alphabet order, as `subset_walk`
+    numbers its keys; unreachable classes are left out. When every state
+    is its own class and keeps its number, `d` is returned as it is.
+    """
     rep = [0] * count  # any member stands for its class
     for q, c in enumerate(cls):
         rep[c] = q
@@ -421,8 +452,10 @@ def restrict_alphabet(d: Dfa, letters: Iterable[str]) -> Dfa:
 def trim_alphabet(d: Dfa) -> Dfa:
     """Minimal DFA of the language over the language's own alphabet.
 
-    The empty language and {epsilon} both trim to a single state over the
-    empty alphabet, so the quotient complexity of either is 1.
+    One refinement, by `minimize`; dropping letters then only renumbers
+    (see `_trim_minimal`). The empty language and {epsilon} both trim to
+    a single state over the empty alphabet, so the quotient complexity of
+    either is 1.
     """
     return _trim_minimal(minimize(d))
 
@@ -434,7 +467,10 @@ def _trim_minimal(m: Dfa) -> Dfa:
     reachable and the empty-language state, if any, is the one non-final
     state that every letter fixes. A letter occurs in an accepted word
     iff it sends some state to a live one. Dropping the other letters
-    changes no state's language, so the second minimize only renumbers.
+    changes no state's language, so the states stay pairwise distinct and
+    only the dead state can become unreachable: the restricted DFA is
+    renumbered by `_quotient`, every state its own class, and not refined
+    again.
     """
     fixed = range(m.state_count)
     for row in m.delta:
@@ -443,7 +479,7 @@ def _trim_minimal(m: Dfa) -> Dfa:
     useful = [a for a, row in zip(m.alphabet, m.delta) if any(q != dead for q in row)]
     if len(useful) == len(m.alphabet):
         return m
-    return minimize(restrict_alphabet(m, useful))
+    return _quotient(restrict_alphabet(m, useful), list(range(m.state_count)), m.state_count)
 
 
 def language_alphabet(d: Dfa) -> tuple[str, ...]:

@@ -14,9 +14,10 @@ The binary operations take LHS.dfa and RHS.dfa; star, reverse and
 complement take LHS.dfa alone, and only complement takes --universe.
 
 Exit codes: 0 on success (and when every verified row matches), 1 when a
-verification row mismatches, 2 on usage errors, unreadable files or
-file-parse errors, 3 when a construction exceeds its state or element
-budget (CapacityError) or the process runs out of memory (MemoryError).
+verification row mismatches, 2 on usage errors (a `verify` that selects
+no cell included), unreadable files or file-parse errors, 3 when a
+construction exceeds its state or element budget (CapacityError) or the
+process runs out of memory (MemoryError).
 """
 
 from __future__ import annotations
@@ -122,10 +123,14 @@ def _positive_int(text: str) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    ids = args.ids.split(",") if args.ids else None
+    ids = None if args.ids is None else args.ids.split(",")
+    if ids is not None and "" in ids:
+        raise UsageError(f"--ids {args.ids!r} has an empty id")
     m_range = _parse_range(args.m) if args.m else None
     n_range = _parse_range(args.n) if args.n else None
     rows = run_sweep(ids=ids, m_range=m_range, n_range=n_range, jobs=args.jobs)
+    if not rows:
+        raise UsageError("no cell to verify: the ranges lie outside every selected entry")
     sys.stdout.write(emit_report(rows, args.format))
     for row in rows:
         if row.error:

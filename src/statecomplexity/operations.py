@@ -132,11 +132,12 @@ def boolean(op: BooleanOp, lhs: Dfa, rhs: Dfa) -> OpResult:
     ]
     left_finals = bits(lhs.finals)
     right_finals = bits(offset + f for f in rhs.finals)
+    table = op.value  # indexed as (TT, TF, FT, FF): 2·(not in lhs) + (not in rhs)
     subsets = determinize(
         combined,
         1 << lhs.initial | 1 << (offset + rhs.initial),
         masks,
-        lambda s: op.holds(bool(s & left_finals), bool(s & right_finals)),
+        lambda s: table[(not s & left_finals) << 1 | (not s & right_finals)],
     )
     return _finish(subsets)
 

@@ -300,6 +300,31 @@ def test_verify_repeated_id(capsys):
     assert stderr == "error: repeated registry ids: REG-KAPPA\n"
 
 
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        pytest.param(
+            ("--m", "1..2", "--n", "1..2"),
+            "error: no cell to verify: the ranges lie outside every selected entry",
+            id="ranges-below-every-floor",
+        ),
+        pytest.param(("--ids", ""), "error: --ids '' has an empty id", id="empty-ids"),
+        pytest.param(
+            ("--ids", "REG-KAPPA,"),
+            "error: --ids 'REG-KAPPA,' has an empty id",
+            id="trailing-comma",
+        ),
+    ],
+)
+def test_verify_that_checks_nothing_is_usage_error(capsys, argv, error):
+    """A sweep with no cell is exit 2 and one `error:` line after any notices."""
+    code, stdout, stderr = run_cli(capsys, "verify", *argv)
+    assert code == 2 and stdout == ""
+    lines = stderr.splitlines()
+    assert lines[-1] == error
+    assert all(line.startswith("notice: ") for line in lines[:-1])
+
+
 def test_registry_list(capsys):
     code, stdout, _ = run_cli(capsys, "registry", "list")
     assert code == 0

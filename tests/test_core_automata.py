@@ -1,20 +1,28 @@
 from __future__ import annotations
 
+import pickle
 import random
+from dataclasses import replace
 
 import pytest
 
 from statecomplexity import (
     Dfa,
     accepts,
+    apply_dialect,
+    automata,
     build_regular,
+    build_two_sided_ideal,
     determinize,
     language_alphabet,
     minimize,
     operations,
+    parse_dialect,
     quotient_complexity,
     quotient_complexity_of_state,
+    render_dfa,
     restrict_alphabet,
+    run_sweep,
     trim_alphabet,
 )
 from statecomplexity.automata import (
@@ -350,6 +358,92 @@ def test_minimize_is_idempotent(rng):
         assert minimize(once) is once  # already canonical: returned as it is
 
 
+def duplicate_final_sinks() -> Dfa:
+    return Dfa(3, ("a",), ((1, 1, 2),), 0, frozenset({1, 2}))
+
+
+def two_sided_dialect() -> Dfa:
+    # Minimal, but not numbered breadth-first: minimize renumbers it.
+    return apply_dialect(build_two_sided_ideal(5), parse_dialect("a,-,-,d,e,f"))
+
+
+def fresh(d: Dfa) -> Dfa:
+    """An equal Dfa built anew by the public constructor: no cached slot."""
+    return Dfa(d.state_count, d.alphabet, d.delta, d.initial, d.finals)
+
+
+@pytest.mark.parametrize(
+    ("make", "canonical"),
+    [
+        pytest.param(lambda: build_regular(4), True, id="regular-witness"),
+        pytest.param(two_sided_dialect, False, id="two-sided-dialect"),
+        pytest.param(duplicate_final_sinks, False, id="not-minimal"),
+    ],
+)
+def test_minimize_remembers_its_result_on_the_instance(make, canonical):
+    d = make()
+    m = minimize(d)
+    assert (m is d) == canonical
+    assert minimize(d) is m
+    assert minimize(m) is m
+    assert m == moore_minimize(fresh(d))
+
+
+@pytest.mark.parametrize("make", [two_sided_dialect, duplicate_final_sinks])
+def test_a_minimized_dfa_equals_a_freshly_built_one(make):
+    """The cached slot is invisible to ==, hash, repr, rendering and pickling."""
+    d = make()
+    m = minimize(d)
+    for used, built in ((d, fresh(d)), (m, fresh(m))):
+        assert used == built and hash(used) == hash(built)
+        assert repr(used) == repr(built)
+        assert render_dfa(used) == render_dfa(built)
+        back = pickle.loads(pickle.dumps(used))
+        assert back == built and hash(back) == hash(built)
+        assert minimize(back) == m
+
+
+def test_the_memo_belongs_to_the_object_and_not_to_its_replacements():
+    """Per-state answers after `minimize(d)` match Moore's, first and second call.
+
+    A cache keyed by `id()` would answer for a freed object whose address
+    a later DFA reuses, and one carried over by `dataclasses.replace`
+    would answer for `d` when asked about another initial state.
+    """
+    rng = random.Random(20261019)
+    for _ in range(1000):
+        d = random_dfa(rng, max_states=6, letters="abc")
+        first = render_dfa(minimize(d))
+        assert first == render_dfa(moore_minimize(d))
+        for q in range(d.state_count):
+            other = replace(d, initial=q)
+            expected = render_dfa(moore_minimize(other))
+            assert render_dfa(minimize(other)) == expected
+            assert render_dfa(minimize(other)) == expected
+            letters = language_alphabet_oracle(other)
+            kappa = moore_minimize(restrict_alphabet(other, letters)).state_count
+            assert quotient_complexity_of_state(d, q) == kappa
+            assert quotient_complexity_of_state(d, q) == kappa
+        assert render_dfa(minimize(d)) == first
+
+
+def test_a_sweep_refines_each_operand_once(monkeypatch):
+    """The cached witnesses of a sweep go through Hopcroft's refinement once."""
+    refined = []  # holds every refined DFA, so no id is reused
+    real = automata.nerode_classes
+
+    def record(d):
+        refined.append(d)
+        return real(d)
+
+    monkeypatch.setattr(automata, "nerode_classes", record)
+    rows = run_sweep(
+        ids=["REG-BOOL-U-UNION", "REG-BOOL-U-DIFF"], m_range=(3, 4), n_range=(3, 4)
+    )
+    assert len(rows) == 8 and all(r.match for r in rows)
+    assert len({id(d) for d in refined}) == len(refined)
+
+
 def renumbered(d: Dfa, perm: list[int]) -> Dfa:
     """`d` with state q renamed perm[q], the initial state included."""
     rows = []
@@ -533,10 +627,38 @@ def test_trim_agrees_with_the_reverse_search_oracle():
 
 
 def test_trim_astar_to_one_state():
+    # The dead state is reachable only through the dropped letter b.
     t = trim_alphabet(astar_with_dead_letter())
     assert t.state_count == 1
     assert t.alphabet == ("a",)
     assert t.finals == frozenset({0})
+    assert t == Dfa(1, ("a",), ((0,),), 0, frozenset({0}))
+
+
+def test_trim_keeps_a_dead_state_a_kept_letter_reaches():
+    # {a} over {a, b}: b is dropped, and a still leads past the final state.
+    d = Dfa(3, ("a", "b"), ((1, 2, 2), (2, 2, 2)), 0, frozenset({1}))
+    assert trim_alphabet(d) == Dfa(3, ("a",), ((1, 2, 2),), 0, frozenset({1}))
+
+
+def test_trim_renumbers_like_a_second_refinement():
+    """Dropping useless letters from a minimal DFA only renumbers it.
+
+    The oracle is the refine, restrict, refine-again pipeline, with
+    Moore's refinement for both passes.
+    """
+    rng = random.Random(20261020)
+    trimmed = dead_dropped = 0
+    while trimmed < 500:
+        d = random_dfa(rng, max_states=7, letters="abcd")
+        letters = language_alphabet_oracle(d)
+        if len(letters) == len(d.alphabet):
+            continue  # no useless letter
+        trimmed += 1
+        t = trim_alphabet(d)
+        assert t == moore_minimize(restrict_alphabet(moore_minimize(d), letters))
+        dead_dropped += t.state_count < minimize(d).state_count
+    assert dead_dropped > 20  # the dead state became unreachable (29 of 500 draws)
 
 
 def test_restrict_alphabet_takes_a_one_shot_iterable():

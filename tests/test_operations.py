@@ -17,6 +17,7 @@ from statecomplexity import (
     complement,
     determinize,
     minimize,
+    operations,
     parse_dialect,
     product,
     quotient_complexity,
@@ -153,6 +154,25 @@ def test_boolean_truth_tables_against_membership(rng):
             a, b = word_in(lhs, w), word_in(rhs, w)
             for op, out in results.items():
                 assert word_in(out, w) == op.holds(a, b), (op, w)
+
+
+@pytest.mark.parametrize("op", TEN_OPS, ids=lambda op: op.name)
+def test_boolean_acceptance_reads_the_truth_table(monkeypatch, op):
+    """The walk's final subsets are those `holds` accepts, every subset checked."""
+    accepting = []
+
+    def record(alphabet, start, masks, accepts):
+        accepting.append(accepts)
+        return determinize(alphabet, start, masks, accepts)
+
+    monkeypatch.setattr(operations, "determinize", record)
+    lhs, rhs = minimize(fig_ends_in_b()), minimize(fig_ends_in_c())
+    boolean(op, lhs, rhs)
+    (accepts,) = accepting
+    left = bits(lhs.finals)
+    right = bits(lhs.state_count + f for f in rhs.finals)
+    for s in range(1 << (lhs.state_count + rhs.state_count)):
+        assert bool(accepts(s)) == op.holds(bool(s & left), bool(s & right)), s
 
 
 def test_boolean_symmetry(rng):

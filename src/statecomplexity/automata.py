@@ -4,15 +4,17 @@ Every DFA here is complete by construction: each letter acts on the state
 set as a total transformation, stored as a tuple of ints whose entry q is
 the image of state q. States are the integers 0..n-1, the initial state
 is a single index, and alphabets are ordered tuples of single lowercase
-letters. No function changes a DFA's value. `minimize` caches its result
-on the instance, in a private `__dict__` slot that is not a dataclass
-field, so equality, hashing, `repr` and `dataclasses.replace` never see
-it.
+letters. No function changes a DFA's value. A DFA is checked once, where
+it enters the library: by `Dfa(...)` in user code or by `parse_dfa`.
+Everything the library derives from checked parts is built unchecked, by
+`_unchecked_dfa`. `minimize` caches its result on the instance, in a
+private `__dict__` slot that is not a dataclass field, so equality,
+hashing and `repr` never see it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 # Hard cap on subset-construction growth; desk-scale sweeps stay far below.
@@ -56,10 +58,8 @@ class Dfa:
     `delta` holds one row per alphabet letter, in alphabet order; a row
     is a tuple of ints whose entry q is the image of state q, so
     completeness is structural rather than checked per word. This
-    constructor is the one place rows are checked: everything built from
-    checked rows stays in range without further checks, so the walks,
-    `minimize` and `parse_dfa` build their results with `_unchecked_dfa`
-    instead.
+    constructor checks every field, and with `parse_dfa` it is the only
+    check: the library builds every other DFA with `_unchecked_dfa`.
     """
 
     state_count: int
@@ -213,12 +213,12 @@ def _unchecked_dfa(
     initial: int,
     finals: frozenset[int],
 ) -> Dfa:
-    """A Dfa over fields its caller has already checked or built in range.
+    """A Dfa built without running `Dfa.__post_init__`.
 
-    A walk numbers every row entry itself, and `parse_dfa` checks each
-    field with line numbers, so the checks of the public constructor
-    would only repeat them: this builds the frozen instance without
-    running `Dfa.__post_init__`.
+    The rule for every caller: each field comes from a checked DFA, a
+    checked alphabet or a checked int, or is numbered by the caller
+    itself, as a walk numbers its rows and `parse_dfa` checks each line.
+    The public constructor's checks would only repeat those checks.
     """
     d = object.__new__(Dfa)
     d.__dict__.update(
@@ -395,7 +395,7 @@ def minimize(d: Dfa) -> Dfa:
     if not d.alphabet:
         # Nothing to refine; a huge declared state count allocates nothing.
         finals = frozenset({0}) if d.initial in d.finals else frozenset()
-        m = d if d.state_count == 1 else Dfa(1, (), (), 0, finals)
+        m = d if d.state_count == 1 else _unchecked_dfa(1, (), (), 0, finals)
     else:
         cls = nerode_classes(d)
         count = max(cls) + 1
@@ -446,7 +446,7 @@ def restrict_alphabet(d: Dfa, letters: Iterable[str]) -> Dfa:
     wanted = set(letters)
     keep = tuple(a for a in d.alphabet if a in wanted)
     rows = tuple(d.delta[d.alphabet.index(a)] for a in keep)
-    return replace(d, alphabet=keep, delta=rows)
+    return _unchecked_dfa(d.state_count, keep, rows, d.initial, d.finals)
 
 
 def trim_alphabet(d: Dfa) -> Dfa:
@@ -494,7 +494,7 @@ def quotient_complexity(d: Dfa) -> int:
 
 def quotient_complexity_of_state(d: Dfa, q: int) -> int:
     """Quotient complexity of the language of state q."""
-    if not 0 <= q < d.state_count:
-        raise ValueError(f"state {q} out of range")
-    return quotient_complexity(replace(d, initial=q))
+    if type(q) is not int or not 0 <= q < d.state_count:
+        raise ValueError(f"state {q!r} out of range 0..{d.state_count - 1}")
+    return quotient_complexity(_unchecked_dfa(d.state_count, d.alphabet, d.delta, q, d.finals))
 

@@ -79,10 +79,10 @@ def _cmd_op(args: argparse.Namespace) -> int:
     elif name in UNARY_OPS:
         result = UNARY_OPS[name](lhs)
     else:  # complement
-        universe = tuple(args.universe) if args.universe else lhs.alphabet
+        universe = lhs.alphabet if args.universe is None else tuple(args.universe)
         result = complement(lhs, universe)
     print(f"kappa={result.kappa}")
-    if args.emit:
+    if args.emit is not None:
         _write_text(args.emit, render_dfa(result.dfa))
     return 0
 
@@ -105,14 +105,14 @@ def _cmd_measure(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_range(text: str) -> tuple[int, int]:
-    if ".." in text:
-        lo, hi = (int(part) for part in text.split("..", 1))
-        if lo > hi:
-            raise ValueError(f"empty range {text!r}")
-        return lo, hi
-    value = int(text)
-    return value, value
+def _parse_range(option: str, text: str) -> tuple[int, int]:
+    try:
+        lo, hi = (int(part) for part in text.split("..", 1)) if ".." in text else (int(text),) * 2
+    except ValueError:
+        raise ValueError(f"{option} {text!r} is not an int or a range A..B") from None
+    if lo > hi:
+        raise ValueError(f"empty range {text!r}")
+    return lo, hi
 
 
 def _positive_int(text: str) -> int:
@@ -126,8 +126,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     ids = None if args.ids is None else args.ids.split(",")
     if ids is not None and "" in ids:
         raise UsageError(f"--ids {args.ids!r} has an empty id")
-    m_range = _parse_range(args.m) if args.m else None
-    n_range = _parse_range(args.n) if args.n else None
+    m_range = None if args.m is None else _parse_range("--m", args.m)
+    n_range = None if args.n is None else _parse_range("--n", args.n)
     rows = run_sweep(ids=ids, m_range=m_range, n_range=n_range, jobs=args.jobs)
     if not rows:
         raise UsageError("no cell to verify: the ranges lie outside every selected entry")

@@ -56,12 +56,6 @@ class BooleanOp(Enum):
     NOR = (False, False, False, True)
     NAND = (False, True, True, True)
 
-    def holds(self, in_lhs: bool, in_rhs: bool) -> bool:
-        tt, tf, ft, ff = self.value
-        if in_lhs:
-            return tt if in_rhs else tf
-        return ft if in_rhs else ff
-
 
 @dataclass(frozen=True)
 class OpResult:

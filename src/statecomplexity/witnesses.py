@@ -9,12 +9,12 @@ drop the rest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from string import ascii_lowercase
 from typing import Iterable, Optional
 
-from .automata import Dfa, make_alphabet
+from .automata import Dfa, _unchecked_dfa, make_alphabet
 
 
 def _identity(n: int) -> tuple[int, ...]:
@@ -59,18 +59,18 @@ class WitnessClass(Enum):
 
     def build(self, n: int) -> Dfa:
         """The n-state witness: letters a, b, c, ... in row order, state 0
-        initial and state n-1 the only final state."""
+        initial and state n-1 the only final state.
+
+        Only `n` is checked: the rows of an int n at or above the floor
+        are in range by construction, so they are built unchecked.
+        """
         name, floor, letter_rows = _STREAMS[self]
+        if type(n) is not int:
+            raise ValueError(f"{name} witness needs an int n, got {n!r}")
         if n < floor:
             raise ValueError(f"{name} witness needs n >= {floor}, got {n}")
         delta = letter_rows(n)
-        return Dfa(
-            state_count=n,
-            alphabet=tuple(ascii_lowercase[: len(delta)]),
-            delta=delta,
-            initial=0,
-            finals=frozenset({n - 1}),
-        )
+        return _unchecked_dfa(n, tuple(ascii_lowercase[: len(delta)]), delta, 0, frozenset({n - 1}))
 
 
 # One row per stream: the name in error messages, the floor, and the
@@ -166,8 +166,10 @@ def apply_dialect(d: Dfa, spec: DialectSpec) -> Dfa:
         if target is not None
     ]
     renamed.sort(key=lambda pair: pair[0])
-    return replace(
-        d,
-        alphabet=tuple(target for target, _ in renamed),
-        delta=tuple(t for _, t in renamed),
+    return _unchecked_dfa(
+        d.state_count,
+        tuple(target for target, _ in renamed),
+        tuple(t for _, t in renamed),
+        d.initial,
+        d.finals,
     )

@@ -17,6 +17,7 @@ from statecomplexity import (
     trim_alphabet,
     union_alphabets,
 )
+from statecomplexity.bounds import WitnessRecipe
 
 
 def fig_ends_in_b() -> Dfa:
@@ -411,6 +412,15 @@ def complete_over(d: Dfa, alphabet: Iterable[str]) -> Dfa:
     )
 
 
+def holds(op: BooleanOp, in_lhs: bool, in_rhs: bool) -> bool:
+    """Whether a word is in `op`'s result, given its membership in the
+    left and right operands: the truth table read as (TT, TF, FT, FF)."""
+    tt, tf, ft, ff = op.value
+    if in_lhs:
+        return tt if in_rhs else tf
+    return ft if in_rhs else ff
+
+
 def sink_product(op: BooleanOp, lhs: Dfa, rhs: Dfa) -> Dfa:
     """Reachable direct product of both operands, each completed with a
     sink over the union alphabet; a pair is final iff `op` holds.
@@ -436,7 +446,7 @@ def sink_product(op: BooleanOp, lhs: Dfa, rhs: Dfa) -> Dfa:
         delta=tuple(map(tuple, rows)),
         initial=0,
         finals=frozenset(
-            i for i, (p, q) in enumerate(order) if op.holds(p in lc.finals, q in rc.finals)
+            i for i, (p, q) in enumerate(order) if holds(op, p in lc.finals, q in rc.finals)
         ),
     )
 
@@ -493,3 +503,19 @@ def is_two_sided_ideal(d: Dfa) -> bool:
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(0xC0FFEE)
+
+
+@pytest.fixture
+def dfa_checks(monkeypatch) -> list[Dfa]:
+    """Every DFA that `Dfa.__post_init__` checks during the test, from a
+    cold witness cache: the library checks none that it builds itself."""
+    checked: list[Dfa] = []
+    check = Dfa.__post_init__
+
+    def count(d: Dfa) -> None:
+        checked.append(d)
+        check(d)
+
+    monkeypatch.setattr(Dfa, "__post_init__", count)
+    WitnessRecipe.build.cache_clear()
+    return checked

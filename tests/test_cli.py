@@ -325,6 +325,31 @@ def test_verify_that_checks_nothing_is_usage_error(capsys, argv, error):
     assert all(line.startswith("notice: ") for line in lines[:-1])
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        pytest.param(
+            ("op", "complement", "w.dfa", "--universe", ""), "missing letters", id="op-universe"
+        ),
+        pytest.param(("op", "star", "w.dfa", "--emit", ""), "''", id="op-emit"),
+        pytest.param(("verify", "--m", ""), "--m ''", id="verify-m"),
+        pytest.param(("verify", "--n", ""), "--n ''", id="verify-n"),
+        pytest.param(("verify", "--n", "x"), "--n 'x' is not an int", id="verify-n-not-an-int"),
+        pytest.param(("verify", "--n", "3.."), "--n '3..' is not an int", id="verify-n-open-range"),
+    ],
+)
+def test_empty_or_malformed_option_value_is_usage_error(
+    tmp_path, capsys, monkeypatch, argv, message
+):
+    """An empty value is refused, not read as the option left out, and a
+    range that is not a number names its option and value."""
+    (tmp_path / "w.dfa").write_text(render_dfa(build_regular(3)))
+    monkeypatch.chdir(tmp_path)
+    code, _, stderr = run_cli(capsys, *argv)
+    assert code == 2
+    assert stderr.startswith("error: ") and len(stderr.splitlines()) == 1 and message in stderr
+
+
 def test_registry_list(capsys):
     code, stdout, _ = run_cli(capsys, "registry", "list")
     assert code == 0
@@ -381,7 +406,7 @@ GOLDEN_OPERANDS = {
 
 
 @pytest.mark.parametrize("witness_class", sorted(GOLDEN_OPERANDS))
-def test_cli_writes_the_golden_bytes(tmp_path, capsys, witness_class):
+def test_cli_writes_the_golden_bytes(tmp_path, capsys, dfa_checks, witness_class):
     # tests/cli_golden holds the files these commands wrote before the
     # subset walk and minimize's renumbering were rewritten: the rewrite
     # must not change a byte of the CLI's output.
@@ -409,10 +434,11 @@ def test_cli_writes_the_golden_bytes(tmp_path, capsys, witness_class):
         assert code == 0
         assert out.read_bytes() == expected, name
         assert stdout == f"kappa={int(expected.split()[1])}\n"
+    assert dfa_checks == []  # each file is checked by `parse_dfa`, nothing twice
 
 
 @pytest.mark.parametrize("name", ["regular", "right", "left", "twosided", "random"])
-def test_measure_writes_the_golden_bytes(tmp_path, capsys, name):
+def test_measure_writes_the_golden_bytes(tmp_path, capsys, dfa_checks, name):
     # measure-NAME.txt holds what `measure atoms`, `measure
     # atom-complexities` and `measure semigroup` printed, in that order, on
     # the default witness at n=6 or on random-7.dfa, a seeded random
@@ -430,6 +456,7 @@ def test_measure_writes_the_golden_bytes(tmp_path, capsys, name):
         assert code == 0
         stdout += out
     assert stdout.encode() == (GOLDEN / f"measure-{name}.txt").read_bytes()
+    assert dfa_checks == []
 
 
 def test_module_entry_point(tmp_path):

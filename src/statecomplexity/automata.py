@@ -493,8 +493,17 @@ def quotient_complexity(d: Dfa) -> int:
 
 
 def quotient_complexity_of_state(d: Dfa, q: int) -> int:
-    """Quotient complexity of the language of state q."""
+    """Quotient complexity of the language of state q.
+
+    The states of a minimal DFA stay pairwise distinct whatever its
+    initial state, so one that `minimize` has marked is re-rooted and
+    renumbered, not refined again.
+    """
     if type(q) is not int or not 0 <= q < d.state_count:
         raise ValueError(f"state {q!r} out of range 0..{d.state_count - 1}")
-    return quotient_complexity(_unchecked_dfa(d.state_count, d.alphabet, d.delta, q, d.finals))
+    rooted = _unchecked_dfa(d.state_count, d.alphabet, d.delta, q, d.finals)
+    if d.__dict__.get(_MINIMAL) is True:
+        every = list(range(d.state_count))
+        return _trim_minimal(_quotient(rooted, every, d.state_count)).state_count
+    return quotient_complexity(rooted)
 

@@ -11,7 +11,6 @@ exactly as documented even where measurement disagrees.
 from __future__ import annotations
 
 import ast
-import concurrent.futures
 import functools
 import re
 import sys
@@ -417,6 +416,7 @@ def run_sweep(
             print(f"notice: {notice}", file=sys.stderr)
         tasks.extend(cells)
     if jobs > 1 and len(tasks) > 1:
+        import concurrent.futures  # only here: a serial sweep never loads the pool
         batch = -(-len(tasks) // (_BATCHES_PER_WORKER * jobs))
         workers = min(jobs, -(-len(tasks) // batch))
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:

@@ -81,9 +81,9 @@ def _cmd_op(args: argparse.Namespace) -> int:
     else:  # complement
         universe = lhs.alphabet if args.universe is None else tuple(args.universe)
         result = complement(lhs, universe)
-    print(f"kappa={result.kappa}")
-    if args.emit is not None:
+    if args.emit is not None:  # written first, so a failed write prints no kappa
         _write_text(args.emit, render_dfa(result.dfa))
+    print(f"kappa={result.kappa}")
     return 0
 
 

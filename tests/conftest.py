@@ -5,7 +5,8 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import replace
-from typing import Iterable
+from pathlib import Path
+from typing import Iterable, Mapping
 
 import pytest
 
@@ -18,6 +19,31 @@ from statecomplexity import (
     union_alphabets,
 )
 from statecomplexity.bounds import WitnessRecipe
+
+
+# Columns 1-6 of `verify --m 3..8 --n 3..8`, 17 documented mismatches
+# included: the one golden grid. Every smaller grid's golden is a
+# restriction of it, taken by `golden_within`.
+GOLDEN_GRID = Path(__file__).parent / "verify_grid_3to8.csv"
+
+# The default `verify` grid's range of m and n per witness class, keyed by
+# the id prefix. A literal, not the library's table, so a change to the
+# library's default grid fails the tests that compare against it.
+DEFAULT_RANGES = {"REG": (3, 5), "RID": (3, 5), "LID": (4, 5), "TID": (5, 6)}
+
+
+def golden_within(ranges: Mapping[str, tuple[int, int]]) -> str:
+    """The header and, in file order, every row of the golden grid whose n
+    lies in its class's range and whose m is empty or lies there too; the
+    class is the id's prefix (REG, RID, LID or TID)."""
+    header, *rows = GOLDEN_GRID.read_text().splitlines(keepends=True)
+
+    def within(row: str) -> bool:
+        entry_id, m, n = row.split(",")[:3]
+        lo, hi = ranges[entry_id.split("-", 1)[0]]
+        return lo <= int(n) <= hi and (m == "" or lo <= int(m) <= hi)
+
+    return "".join([header, *filter(within, rows)])
 
 
 def fig_ends_in_b() -> Dfa:

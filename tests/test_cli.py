@@ -10,6 +10,7 @@ from statecomplexity import (
     Dfa,
     atom_dfa,
     atoms,
+    automata,
     boolean,
     build_regular,
     parse_dfa,
@@ -19,7 +20,7 @@ from statecomplexity import (
 from statecomplexity.bounds import BOOLEAN_BY_NAME
 from statecomplexity.cli import main
 
-from conftest import fig_ends_in_b, fig_ends_in_c, random_dfa
+from conftest import DEFAULT_RANGES, fig_ends_in_b, fig_ends_in_c, golden_within, random_dfa
 
 
 def run_cli(capsys, *argv):
@@ -59,6 +60,22 @@ def test_op_union_on_the_worked_example(tmp_path, capsys):
     assert code == 0
     assert stdout.strip() == "kappa=6"
     assert parse_dfa(emitted.read_text()).state_count == 6
+
+
+@pytest.mark.parametrize(
+    "emit",
+    [
+        pytest.param(lambda tmp: str(tmp / "no-such-dir" / "x.dfa"), id="missing-directory"),
+        pytest.param(str, id="directory"),
+        pytest.param(lambda tmp: "", id="empty"),
+    ],
+)
+def test_op_emit_that_cannot_be_written_prints_no_kappa(tmp_path, capsys, emit):
+    lhs = tmp_path / "r3.dfa"
+    lhs.write_text(render_dfa(build_regular(3)))
+    code, stdout, stderr = run_cli(capsys, "op", "star", str(lhs), "--emit", emit(tmp_path))
+    assert code == 2 and stdout == ""
+    assert stderr.startswith("error: ") and len(stderr.splitlines()) == 1
 
 
 @pytest.mark.parametrize("name", sorted(BOOLEAN_BY_NAME))
@@ -133,6 +150,24 @@ def test_measure_quantities(tmp_path, capsys):
     code, stdout, _ = run_cli(capsys, "measure", "quotients", str(path))
     assert code == 0
     assert stdout.count("kappa=3") == 3
+
+
+def test_measure_quotients_refines_the_file_once(tmp_path, capsys, monkeypatch):
+    # The trim refines the parsed witness; each state's quotient then
+    # re-roots the minimal DFA without refining it again.
+    path = tmp_path / "r12.dfa"
+    path.write_text(render_dfa(build_regular(12)))
+    refined = []
+    real = automata.nerode_classes
+
+    def record(d):
+        refined.append(d)
+        return real(d)
+
+    monkeypatch.setattr(automata, "nerode_classes", record)
+    code, stdout, _ = run_cli(capsys, "measure", "quotients", str(path))
+    assert code == 0 and stdout.count("kappa=12") == 12
+    assert len(refined) == 1
 
 
 def test_measure_atom_complexities_matches_per_profile_atom_dfa(tmp_path, capsys):
@@ -348,6 +383,17 @@ def test_empty_or_malformed_option_value_is_usage_error(
     code, _, stderr = run_cli(capsys, *argv)
     assert code == 2
     assert stderr.startswith("error: ") and len(stderr.splitlines()) == 1 and message in stderr
+
+
+def test_default_verify_prints_the_golden_grid(capsys):
+    code, stdout, stderr = run_cli(capsys, "verify")
+    assert code == 1 and stderr == ""
+    lines = stdout.splitlines()
+    columns = "".join(line.rsplit(",", 1)[0] + "\n" for line in lines)
+    assert columns == golden_within(DEFAULT_RANGES)
+    false_ids = [line.split(",")[0] for line in lines if line.split(",")[5] == "false"]
+    assert len(false_ids) == 8
+    assert set(false_ids) <= {"LID-ATOMS", "TID-ATOMS", "TID-ATOM-COUNT", "TID-REVERSE"}
 
 
 def test_registry_list(capsys):

@@ -804,6 +804,23 @@ def test_dead_state_quotient():
     assert quotient_complexity_of_state(d, 0) == 1
 
 
+def test_per_state_quotients_of_a_minimal_dfa_are_those_of_the_rerooted_dfa(rng):
+    # A DFA that `minimize` has marked is re-rooted and renumbered, not refined.
+    for _ in range(500):
+        m = minimize(random_dfa(rng))
+        for q in range(m.state_count):
+            assert quotient_complexity_of_state(m, q) == quotient_complexity(replace(m, initial=q))
+
+
+def test_per_state_quotients_are_not_the_reachable_state_counts():
+    # L = a* + b. States 1 (a*) and 2 ({epsilon}) each reach two states,
+    # but the dead one only through b, which their languages do not use.
+    d = Dfa(4, ("a", "b"), ((1, 1, 3, 3), (2, 3, 3, 3)), 0, frozenset({0, 1, 2}))
+    assert [quotient_complexity_of_state(d, q) for q in range(4)] == [4, 1, 1, 1]
+    m = minimize(d)  # marked minimal: the re-rooting path
+    assert [quotient_complexity_of_state(m, q) for q in range(4)] == [4, 1, 1, 1]
+
+
 # --- language preservation through the pipeline --------------------------------
 
 

@@ -3,6 +3,9 @@ from __future__ import annotations
 import concurrent.futures
 import dataclasses
 import itertools
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -15,6 +18,10 @@ from statecomplexity import (
     registry_by_id,
     run_sweep,
 )
+
+from conftest import DEFAULT_RANGES, GOLDEN_GRID, golden_within
+
+GRID_3TO7 = dict.fromkeys(DEFAULT_RANGES, (3, 7))
 
 
 def test_registry_ids_are_unique_and_recipes_build():
@@ -180,11 +187,31 @@ class RecordingPool(concurrent.futures.ThreadPoolExecutor):
 
 @pytest.fixture
 def recording_pool(monkeypatch):
-    import statecomplexity.bounds as reg_mod
-
     monkeypatch.setattr(RecordingPool, "made", [])
-    monkeypatch.setattr(reg_mod.concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     return RecordingPool.made
+
+
+def test_a_serial_sweep_never_imports_the_process_pool():
+    # The pool's module loads only when a sweep sends cells to it, so
+    # importing the package and sweeping serially pay nothing for it.
+    import statecomplexity
+
+    script = (
+        "import sys, statecomplexity as s; s.registry_by_id();"
+        " s.run_sweep(ids=['REG-KAPPA'], n_range=(3, 3));"
+        " print('concurrent.futures' in sys.modules)"
+    )
+    src = Path(statecomplexity.__file__).parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", script],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_pool_is_capped_at_the_number_of_batches(recording_pool):
@@ -287,10 +314,10 @@ def golden_columns(rows: list[VerificationRow]) -> str:
 
 
 def test_default_sweep_reproduces_the_golden_columns():
-    # tests/verify_default.csv holds columns 1-6 of `verify`, 8 documented
-    # mismatches included. A faster kernel must give these bytes exactly.
-    golden = (Path(__file__).parent / "verify_default.csv").read_text()
-    assert golden_columns(run_sweep()) == golden
+    # The default grid's rows of the golden grid hold columns 1-6 of
+    # `verify`, 8 documented mismatches included. A faster kernel must
+    # give these bytes exactly.
+    assert golden_columns(run_sweep()) == golden_within(DEFAULT_RANGES)
 
 
 KNOWN_DEFECT_IDS = {"LID-ATOMS", "TID-ATOM-COUNT", "TID-ATOMS", "TID-REVERSE"}
@@ -309,34 +336,26 @@ def test_bounds_hold_one_size_beyond_the_default_grid():
 def test_bounds_hold_on_the_extended_grid():
     # One sweep of every id over 3..7: the sound ids must match, and all
     # rows, 13 documented mismatches included, must give the columns 1-6
-    # of `verify --m 3..7 --n 3..7` held in tests/verify_grid_3to7.csv.
+    # of `verify --m 3..7 --n 3..7`: the golden grid's rows within 3..7.
     rows = run_sweep(m_range=(3, 7), n_range=(3, 7))
     sound = [r for r in rows if r.entry_id not in KNOWN_DEFECT_IDS]
     assert all(r.match for r in sound), [r for r in sound if not r.match]
-    golden = (Path(__file__).parent / "verify_grid_3to7.csv").read_text()
-    assert golden_columns(rows) == golden
+    assert golden_columns(rows) == golden_within(GRID_3TO7)
 
 
 @pytest.mark.slow
 def test_batched_pool_reproduces_the_extended_grid():
     # The same 1,152 cells at --jobs 2 go to the pool in contiguous batches.
     rows = run_sweep(m_range=(3, 7), n_range=(3, 7), jobs=2)
-    golden = (Path(__file__).parent / "verify_grid_3to7.csv").read_text()
-    assert golden_columns(rows) == golden
+    assert golden_columns(rows) == golden_within(GRID_3TO7)
 
 
 @pytest.mark.slow
 def test_batched_pool_reproduces_the_3to8_grid():
-    # tests/verify_grid_3to8.csv holds columns 1-6 of `verify --m 3..8
-    # --n 3..8`, 17 documented mismatches included; it pins the atom
-    # kernel at n=8. Its rows within 3..7 are the 3..7 golden's, in order.
-    here = Path(__file__).parent
-    golden = (here / "verify_grid_3to8.csv").read_text()
+    # The golden grid holds columns 1-6 of `verify --m 3..8 --n 3..8`,
+    # 17 documented mismatches included; it pins the atom kernel at n=8.
     rows = run_sweep(m_range=(3, 8), n_range=(3, 8), jobs=2)
-    assert golden_columns(rows) == golden
-    header, *lines = golden.splitlines(keepends=True)
-    within = [line for line in lines if "8" not in line.split(",")[1:3]]
-    assert "".join([header, *within]) == (here / "verify_grid_3to7.csv").read_text()
+    assert golden_columns(rows) == GOLDEN_GRID.read_text()
 
 
 def test_construction_failures_become_failed_rows(monkeypatch):

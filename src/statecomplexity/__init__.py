@@ -8,17 +8,11 @@ into an executable regression suite (see the `verify` CLI subcommand).
 """
 
 from .algebra import syntactic_semigroup_size, transition_semigroup
-from .atoms import (
-    atom_complexities,
-    atom_dfa,
-    atom_formula,
-    atoms,
-)
+from .atoms import atom_complexities, atom_dfa, atoms
 from .automata import (
     CapacityError,
     Dfa,
     accepts,
-    determinize,
     language_alphabet,
     make_alphabet,
     minimize,
@@ -43,6 +37,7 @@ from .bounds import (
     VerificationRow,
     WitnessRecipe,
     all_match,
+    atom_formula,
     emit_report,
     registry,
     registry_by_id,

@@ -16,7 +16,6 @@ a walk is already minimal.
 
 from __future__ import annotations
 
-from math import comb
 from typing import Iterable
 
 from . import automata
@@ -29,7 +28,6 @@ from .automata import (
     preimage_masks,
     subset_walk,
 )
-from .witnesses import WitnessClass
 
 
 def _profile(s: Iterable[int], n: int) -> frozenset[int]:
@@ -128,70 +126,3 @@ def atoms(d: Dfa) -> list[frozenset[int]]:
     """
     profiles, _ = subset_walk((bits(d.finals),), preimage_masks(d.delta))
     return [_states(mask, d.state_count) for mask in sorted(profiles)]
-
-
-def _require_witness(witness_class: WitnessClass, n: int) -> None:
-    if n < witness_class.min_n:
-        raise ValueError(f"{witness_class.value} witness needs n >= {witness_class.min_n}")
-
-
-def _named_values(n: int) -> dict[WitnessClass, dict[frozenset[int], int]]:
-    """The closed forms' named profiles at n and their values, in table order."""
-    full = frozenset(range(n))
-    return {
-        WitnessClass.REGULAR: {frozenset(): 2**n - 1, full: 2**n - 1},
-        WitnessClass.RIGHT_IDEAL: {full: 2 ** (n - 1)},
-        WitnessClass.LEFT_IDEAL: {frozenset(): 2 ** (n - 1), full: n},
-        WitnessClass.TWO_SIDED_IDEAL: {full: n, full - {1}: 2 ** (n - 2) + n - 1},
-    }
-
-
-# Inner term of the double sum over (x, y) for the profiles not named above.
-_INNER = {
-    WitnessClass.REGULAR: lambda n, x, y: comb(n, x) * comb(n - x, y),
-    WitnessClass.RIGHT_IDEAL: lambda n, x, y: comb(n - 1, x - 1) * comb(n - x, y),
-    WitnessClass.LEFT_IDEAL: lambda n, x, y: comb(n - 1, x) * comb(n - 1 - x, y),
-    WitnessClass.TWO_SIDED_IDEAL: lambda n, x, y: comb(n - 2, x - 1) * comb(n - x - 1, y - 1),
-}
-
-
-def atom_formula(witness_class: WitnessClass, n: int, s: Iterable[int]) -> int:
-    """Closed-form atom complexity for the witness of the given class.
-
-    Returns the documented table as stated, for the registry rows that
-    report it. Defined exactly for the profiles the closed forms cover;
-    other profiles (whose atoms the witnesses do not realize) raise
-    ValueError. Two entries are ones the witnesses cannot meet: the
-    left-ideal general branch, whose inner binomial the witness realizes
-    as C(n-x-1, y-1) rather than C(n-1-x, y), and the two-sided special
-    value 2^(n-2)+n-1 named at Q_n minus {1}. That profile holds the
-    initial state without being Q_n, so no word has it; the value belongs
-    to Q_n minus {0}.
-    """
-    _require_witness(witness_class, n)
-    s = _profile(s, n)
-    named = _named_values(n)[witness_class]
-    if s in named:
-        return named[s]
-    if not s:
-        kind = "right" if witness_class is WitnessClass.RIGHT_IDEAL else "two-sided"
-        raise ValueError(f"the empty profile is not an atom of a {kind} ideal")
-    inner = _INNER[witness_class]
-    size = len(s)
-    return 1 + sum(
-        inner(n, x, y) for x in range(1, size + 1) for y in range(1, n - size + 1)
-    )
-
-
-def explicit_profiles(cls: WitnessClass, n: int) -> list[frozenset[int]]:
-    """Profiles the closed forms single out by name, checked even if empty.
-
-    Returns the documented table as stated. Its two-sided entry Q_n minus
-    {1} is one no atom of the witness has (a profile holding the initial
-    state of a two-sided ideal is all of Q_n), and the table's left-ideal
-    general branch is likewise not met by the witness; see atom_formula.
-    Below the witness floor there is no witness, so this raises
-    ValueError as atom_formula does.
-    """
-    _require_witness(cls, n)
-    return list(_named_values(n)[cls])

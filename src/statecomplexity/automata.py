@@ -47,8 +47,8 @@ def make_alphabet(letters: Iterable[str]) -> tuple[str, ...]:
 
 
 def union_alphabets(first: Iterable[str], second: Iterable[str]) -> tuple[str, ...]:
-    """Union of two alphabets, sorted lexicographically."""
-    return make_alphabet(sorted(set(first) | set(second)))
+    """Union of two checked alphabets, sorted lexicographically."""
+    return tuple(sorted(set(first) | set(second)))
 
 
 @dataclass(frozen=True)
@@ -187,13 +187,10 @@ def determinize(
 
     Every subset construction here is such a walk (see `subset_walk`):
     `masks` holds one row per letter, and a subset is a final state iff
-    `accepting(subset)`. The alphabet and the mask rows are checked here;
-    the walk numbers every row entry itself, so the entries are not
-    checked again.
+    `accepting(subset)`. Callers pass a checked alphabet and one mask row
+    per letter, all of the same width; the walk numbers every row entry
+    itself, so nothing is checked here.
     """
-    alphabet = make_alphabet(alphabet)
-    if len(masks) != len(alphabet) or len({len(row) for row in masks}) > 1:
-        raise ValueError(f"masks must hold one row per letter of {alphabet!r}, all as wide")
     keys, rows = subset_walk((start,), masks)
     walk = _unchecked_dfa(
         len(keys),
@@ -469,8 +466,8 @@ def _trim_minimal(m: Dfa) -> Dfa:
     iff it sends some state to a live one. Dropping the other letters
     changes no state's language, so the states stay pairwise distinct and
     only the dead state can become unreachable: the restricted DFA is
-    renumbered by `_quotient`, every state its own class, and not refined
-    again.
+    renumbered by `_quotient`, every state its own class, and marked
+    minimal without being refined again.
     """
     fixed = range(m.state_count)
     for row in m.delta:
@@ -479,7 +476,9 @@ def _trim_minimal(m: Dfa) -> Dfa:
     useful = [a for a, row in zip(m.alphabet, m.delta) if any(q != dead for q in row)]
     if len(useful) == len(m.alphabet):
         return m
-    return _quotient(restrict_alphabet(m, useful), list(range(m.state_count)), m.state_count)
+    trimmed = _quotient(restrict_alphabet(m, useful), list(range(m.state_count)), m.state_count)
+    trimmed.__dict__[_MINIMAL] = True
+    return trimmed
 
 
 def language_alphabet(d: Dfa) -> tuple[str, ...]:

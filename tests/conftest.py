@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 from collections import deque
 from dataclasses import replace
 from pathlib import Path
@@ -544,4 +545,21 @@ def dfa_checks(monkeypatch) -> list[Dfa]:
 
     monkeypatch.setattr(Dfa, "__post_init__", count)
     WitnessRecipe.build.cache_clear()
+    return checked
+
+
+@pytest.fixture
+def alphabet_checks(monkeypatch) -> list[tuple[str, ...]]:
+    """Every alphabet that `make_alphabet` checks during the test, in
+    whichever module of the package calls it."""
+    checked: list[tuple[str, ...]] = []
+
+    def count(letters):
+        alphabet = make_alphabet(letters)
+        checked.append(alphabet)
+        return alphabet
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("statecomplexity.") and vars(module).get("make_alphabet") is make_alphabet:
+            monkeypatch.setattr(module, "make_alphabet", count)
     return checked

@@ -24,7 +24,7 @@ from statecomplexity import (
     trim_alphabet,
 )
 from statecomplexity import automata
-from statecomplexity.atoms import explicit_profiles
+from statecomplexity.bounds import _named_values
 
 from conftest import (
     brzozowski_minimize,
@@ -276,10 +276,13 @@ def test_formula_values_from_the_tables():
 
 
 def test_explicit_profiles_are_the_named_table_entries():
-    assert explicit_profiles(WitnessClass.REGULAR, 3) == [frozenset(), frozenset({0, 1, 2})]
-    assert explicit_profiles(WitnessClass.RIGHT_IDEAL, 4) == [frozenset({0, 1, 2, 3})]
-    assert explicit_profiles(WitnessClass.LEFT_IDEAL, 4) == [frozenset(), frozenset({0, 1, 2, 3})]
-    assert explicit_profiles(WitnessClass.TWO_SIDED_IDEAL, 5) == [
+    def named(cls, n):
+        return list(_named_values(n)[cls])
+
+    assert named(WitnessClass.REGULAR, 3) == [frozenset(), frozenset({0, 1, 2})]
+    assert named(WitnessClass.RIGHT_IDEAL, 4) == [frozenset({0, 1, 2, 3})]
+    assert named(WitnessClass.LEFT_IDEAL, 4) == [frozenset(), frozenset({0, 1, 2, 3})]
+    assert named(WitnessClass.TWO_SIDED_IDEAL, 5) == [
         frozenset({0, 1, 2, 3, 4}),
         frozenset({0, 2, 3, 4}),
     ]
@@ -290,10 +293,17 @@ def test_explicit_profiles_refuse_below_the_witness_floor(cls):
     n = cls.min_n - 1
     with pytest.raises(ValueError) as refused:
         atom_formula(cls, n, frozenset())
-    with pytest.raises(ValueError) as listed:
-        explicit_profiles(cls, n)
-    assert str(listed.value) == str(refused.value)
-    assert explicit_profiles(cls, cls.min_n)
+    assert str(refused.value) == f"{cls.value} witness needs n >= {cls.min_n}"
+
+
+@pytest.mark.parametrize("tag", ["REG", "RID", "LID", "TID"])
+def test_atom_rows_read_minimal_witnesses(tag):
+    # An atom row counts the atoms of its witness as built, without
+    # refining it, so each must be minimal with n states (n <= 10 covers
+    # every golden grid).
+    recipe = registry_by_id()[f"{tag}-ATOMS"].lhs
+    for n in range(recipe.witness.min_n, 11):
+        assert minimize(recipe.build(n)).state_count == n
 
 
 def test_formula_rejects_unlisted_profiles():

@@ -170,6 +170,38 @@ def test_measure_quotients_refines_the_file_once(tmp_path, capsys, monkeypatch):
     assert len(refined) == 1
 
 
+def test_measure_quotients_refines_once_after_the_trim_drops_a_letter(
+    tmp_path, capsys, monkeypatch
+):
+    # `z` only leads to a new dead state, so the trim drops it and the
+    # dead state; the renumbered DFA is still minimal and is not refined
+    # again per state.
+    witness = build_regular(12)
+    dead = witness.state_count
+    padded = Dfa(
+        dead + 1,
+        witness.alphabet + ("z",),
+        tuple(row + (dead,) for row in witness.delta) + ((dead,) * (dead + 1),),
+        witness.initial,
+        witness.finals,
+    )
+    plain_path, padded_path = tmp_path / "r12.dfa", tmp_path / "r12z.dfa"
+    plain_path.write_text(render_dfa(witness))
+    padded_path.write_text(render_dfa(padded))
+    _, expected, _ = run_cli(capsys, "measure", "quotients", str(plain_path))
+    refined = []
+    real = automata.nerode_classes
+
+    def record(d):
+        refined.append(d)
+        return real(d)
+
+    monkeypatch.setattr(automata, "nerode_classes", record)
+    code, stdout, _ = run_cli(capsys, "measure", "quotients", str(padded_path))
+    assert code == 0 and stdout == expected
+    assert len(refined) == 1
+
+
 def test_measure_atom_complexities_matches_per_profile_atom_dfa(tmp_path, capsys):
     reg4 = tmp_path / "reg4.dfa"
     run_cli(capsys, "witness", "gen", "regular", "4", "--dialect", "a,b,c", "-o", str(reg4))

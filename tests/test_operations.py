@@ -15,7 +15,6 @@ from statecomplexity import (
     build_regular,
     build_right_ideal,
     complement,
-    determinize,
     minimize,
     operations,
     parse_dialect,
@@ -26,7 +25,7 @@ from statecomplexity import (
     trim_alphabet,
     union_alphabets,
 )
-from statecomplexity.automata import bits, preimage_masks
+from statecomplexity.automata import bits, determinize, preimage_masks
 
 from conftest import (
     complete_over,

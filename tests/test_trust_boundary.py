@@ -5,7 +5,8 @@ the library derives from checked parts is built by `_unchecked_dfa`.
 These tests pin that rule: the library runs no check of its own, every
 DFA it builds would pass the public check, and the inputs the derived
 builders take themselves (a witness's n, a state number) are still
-refused when malformed.
+refused when malformed. The measurement modules also know no witness
+class: only the registry states what a witness is expected to give.
 """
 
 from __future__ import annotations
@@ -42,6 +43,13 @@ def test_a_cold_default_sweep_checks_no_dfa(dfa_checks):
     rows = run_sweep()
     assert len(rows) == 426
     assert dfa_checks == []
+
+
+def test_a_warm_default_sweep_checks_no_alphabet(alphabet_checks):
+    run_sweep()  # fills the witness cache
+    alphabet_checks.clear()
+    assert len(run_sweep()) == 426
+    assert alphabet_checks == []
 
 
 def test_derived_dfas_pass_the_public_check(rng):
@@ -128,3 +136,45 @@ def test_the_library_builds_no_dfa_through_the_checked_path():
         for hit in _checked_builds(ast.parse(path.read_text(encoding="utf-8"), str(path)))
     ]
     assert found == [], "build derived DFAs with automata._unchecked_dfa"
+
+
+# The measurement modules, and the modules only the registry side may use.
+MEASUREMENT_MODULES = ["automata.py", "operations.py", "algebra.py", "atoms.py", "dfafile.py"]
+REGISTRY_MODULES = {"witnesses", "bounds", "cli"}
+
+
+def _imported_modules(tree: ast.AST) -> list[str]:
+    """The last dotted part of every module that `tree` imports.
+
+    A name imported from the package itself (`from . import x`) counts as
+    the module x.
+    """
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [alias.name.rsplit(".", 1)[-1] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            if node.module in (None, "statecomplexity"):
+                found += [alias.name for alias in node.names]
+            else:
+                found.append(node.module.rsplit(".", 1)[-1])
+    return found
+
+
+def test_import_scan_finds_each_form():
+    source = (
+        "from .witnesses import WitnessClass\n"
+        "from . import bounds\n"
+        "from statecomplexity.cli import main\n"
+        "import statecomplexity.witnesses\n"
+        "from .automata import Dfa\n"
+    )
+    found = _imported_modules(ast.parse(source))
+    assert found == ["witnesses", "bounds", "cli", "witnesses", "automata"]
+
+
+@pytest.mark.parametrize("name", MEASUREMENT_MODULES)
+def test_measurement_modules_import_no_registry_module(name):
+    path = SOURCES / name
+    imported = _imported_modules(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+    assert REGISTRY_MODULES.isdisjoint(imported), imported

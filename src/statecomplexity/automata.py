@@ -25,7 +25,7 @@ MAX_SUBSET_STATES = 1 << 20
 MAX_SUBSET_BITS = 1 << 32
 
 # Private `__dict__` slots of a Dfa. `_MINIMAL` holds `minimize`'s result,
-# or True when that is the Dfa itself; `_WALK` marks a `determinize`
+# or True when that is the Dfa itself; `_WALK` marks a `_walk_dfa`
 # result, which is accessible and numbered as `minimize` numbers.
 _MINIMAL = "_minimal"
 _WALK = "_walk"
@@ -192,13 +192,18 @@ def determinize(
     itself, so nothing is checked here.
     """
     keys, rows = subset_walk((start,), masks)
-    walk = _unchecked_dfa(
-        len(keys),
-        alphabet,
-        tuple(map(tuple, rows)),
-        0,
-        frozenset(i for i, key in enumerate(keys) if accepting(key)),
-    )
+    finals = frozenset(i for i, key in enumerate(keys) if accepting(key))
+    return _walk_dfa(len(keys), alphabet, tuple(map(tuple, rows)), finals)
+
+
+def _walk_dfa(
+    state_count: int,
+    alphabet: tuple[str, ...],
+    delta: tuple[tuple[int, ...], ...],
+    finals: frozenset[int],
+) -> Dfa:
+    """The DFA of a one-start `subset_walk`, marked `_WALK` for `minimize`."""
+    walk = _unchecked_dfa(state_count, alphabet, delta, 0, finals)
     walk.__dict__[_WALK] = True
     return walk
 
@@ -380,7 +385,7 @@ def minimize(d: Dfa) -> Dfa:
     The classes of `nerode_classes` are numbered as `_quotient` numbers
     them, so two equal languages over equal alphabets yield identical (not
     merely isomorphic) results, and an input that is already minimal and
-    numbered that way is returned as it is. A `determinize` walk is
+    numbered that way is returned as it is. A walk's DFA (`_walk_dfa`) is
     numbered that way already, so when no two of its states merge it is
     returned without the renumbering pass. The result is remembered on
     `d` and marked minimal itself, so a later call on either returns at

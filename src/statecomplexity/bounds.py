@@ -438,7 +438,8 @@ def run_sweep(
 ) -> list[VerificationRow]:
     """Evaluate the selected entries over the grid; rows sorted by (id, m, n).
 
-    Row content is deterministic and independent of the job count. With
+    Row content is deterministic and independent of the job count. The
+    boolean cells of one operand pair run back to back. With
     `jobs > 1` the cells go in contiguous batches to at most `jobs` worker
     processes, and to no more processes than there are batches. Range
     cells below an entry's validity floor are skipped with a notice on
@@ -462,6 +463,16 @@ def run_sweep(
         for notice in notices:
             print(f"notice: {notice}", file=sys.stderr)
         tasks.extend(cells)
+    # Boolean cells that read the same operands at the same (m, n) run back
+    # to back, in the place of the first of them, so they share one walk
+    # (`operations._pair_walk`); every other cell keeps its place.
+    groups: dict[tuple, list[tuple[str, Optional[int], int]]] = {}
+    for task in tasks:
+        entry = table[task[0]]
+        shared = entry.operation in BOOLEAN_BY_NAME
+        key = (entry.lhs, entry.rhs, *task[1:]) if shared else task
+        groups.setdefault(key, []).append(task)
+    tasks = [task for group in groups.values() for task in group]
     if jobs > 1 and len(tasks) > 1:
         import concurrent.futures  # only here: a serial sweep never loads the pool
         batch = -(-len(tasks) // (_BATCHES_PER_WORKER * jobs))

@@ -7,7 +7,10 @@ at their own bits, and a letter an operand lacks empties that operand's
 part of the subset, which stands for its empty quotient. So product,
 star, the boolean operations and complement share one mechanism, and
 complement always means complement with respect to the universe the
-walk reads; reversal walks preimages instead. Every result is minimal,
+walk reads; reversal walks preimages instead. The ten boolean operations
+on one pair are one walk, the direct product of the two operands, each
+completed by its empty quotient (`_pair_walk`); each operation reads its
+own final subsets off that walk. Every result is minimal,
 trimmed to the alphabet of the result language, and reported with its
 quotient complexity. Each walk is minimized after it, except reversal's:
 its operand is minimized first, and the preimage walk of a minimal DFA
@@ -19,17 +22,20 @@ over the same letter order (minimize is canonical).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 
 from .automata import (
     Dfa,
     _trim_minimal,
+    _walk_dfa,
     bits,
     determinize,
     make_alphabet,
     minimize,
     preimage_masks,
+    subset_walk,
     trim_alphabet,
     union_alphabets,
 )
@@ -109,12 +115,18 @@ def product(lhs: Dfa, rhs: Dfa) -> OpResult:
     return _finish(subsets)
 
 
-def boolean(op: BooleanOp, lhs: Dfa, rhs: Dfa) -> OpResult:
-    """Any of the ten proper boolean operations over the union alphabet.
+# Only the last pair's walk is kept: a sweep runs each pair's cells back to back.
+@functools.lru_cache(maxsize=1)
+def _pair_walk(
+    lhs: Dfa, rhs: Dfa
+) -> tuple[tuple[str, ...], list[int], tuple[tuple[int, ...], ...], int, int]:
+    """The walk every boolean operation on (lhs, rhs) reads its finals from.
 
-    Subset walk over both operands side by side, the left states at bits
-    0..m-1 and the right states at bits m..m+n-1; a subset holds at most
-    one state of each, and none once a missing letter has emptied it.
+    Subset walk over both minimized operands side by side, the left
+    states at bits 0..m-1 and the right states at bits m..m+n-1; a subset
+    holds at most one state of each, and none once a missing letter has
+    emptied it. Returns the union alphabet, the walk's subsets and rows,
+    and the masks of the left and right final states.
     """
     lhs = minimize(lhs)
     rhs = minimize(rhs)
@@ -124,16 +136,25 @@ def boolean(op: BooleanOp, lhs: Dfa, rhs: Dfa) -> OpResult:
         left + right
         for left, right in zip(_moves(lhs, combined), _moves(rhs, combined, offset))
     ]
-    left_finals = bits(lhs.finals)
+    keys, rows = subset_walk((1 << lhs.initial | 1 << (offset + rhs.initial),), masks)
     right_finals = bits(offset + f for f in rhs.finals)
+    return combined, keys, tuple(map(tuple, rows)), bits(lhs.finals), right_finals
+
+
+def boolean(op: BooleanOp, lhs: Dfa, rhs: Dfa) -> OpResult:
+    """Any of the ten proper boolean operations over the union alphabet.
+
+    Every operation on a pair reads one walk (`_pair_walk`), the direct
+    product of the operands completed by their empty quotients; only the
+    final subsets depend on `op`. The walk of the last pair is kept, so
+    the operations of one pair called back to back walk it once.
+    """
+    combined, keys, rows, left_finals, right_finals = _pair_walk(lhs, rhs)
     table = op.value  # indexed as (TT, TF, FT, FF): 2·(not in lhs) + (not in rhs)
-    subsets = determinize(
-        combined,
-        1 << lhs.initial | 1 << (offset + rhs.initial),
-        masks,
-        lambda s: table[(not s & left_finals) << 1 | (not s & right_finals)],
+    finals = frozenset(
+        i for i, s in enumerate(keys) if table[(not s & left_finals) << 1 | (not s & right_finals)]
     )
-    return _finish(subsets)
+    return _finish(_walk_dfa(len(keys), combined, rows, finals))
 
 
 def complement(d: Dfa, universe: tuple[str, ...] | str) -> OpResult:

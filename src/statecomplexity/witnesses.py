@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from string import ascii_lowercase
 from typing import Iterable, Optional
 
 from .automata import Dfa, _unchecked_dfa, make_alphabet
@@ -70,7 +69,8 @@ class WitnessClass(Enum):
         if n < floor:
             raise ValueError(f"{name} witness needs n >= {floor}, got {n}")
         delta = letter_rows(n)
-        return _unchecked_dfa(n, tuple(ascii_lowercase[: len(delta)]), delta, 0, frozenset({n - 1}))
+        letters = tuple("abcdefghijklmnopqrstuvwxyz"[: len(delta)])
+        return _unchecked_dfa(n, letters, delta, 0, frozenset({n - 1}))
 
 
 # One row per stream: the name in error messages, the floor, and the

@@ -158,21 +158,42 @@ def test_boolean_truth_tables_against_membership(rng):
 
 @pytest.mark.parametrize("op", TEN_OPS, ids=lambda op: op.name)
 def test_boolean_acceptance_reads_the_truth_table(monkeypatch, op):
-    """The walk's final subsets are those `holds` accepts, every subset checked."""
-    accepting = []
+    """The walk's final subsets are those `holds` accepts, every subset checked.
 
-    def record(alphabet, start, masks, accepts):
-        accepting.append(accepts)
-        return determinize(alphabet, start, masks, accepts)
-
-    monkeypatch.setattr(operations, "determinize", record)
+    `boolean` reads its finals off the keys of `_pair_walk`. A stand-in
+    walk keeps the real final masks and lists every subset of the m+n
+    operand states as a chain on one letter, so a^s is in the result iff
+    subset s is final.
+    """
     lhs, rhs = minimize(fig_ends_in_b()), minimize(fig_ends_in_c())
-    boolean(op, lhs, rhs)
-    (accepts,) = accepting
-    left = bits(lhs.finals)
-    right = bits(lhs.state_count + f for f in rhs.finals)
-    for s in range(1 << (lhs.state_count + rhs.state_count)):
-        assert bool(accepts(s)) == holds(op, bool(s & left), bool(s & right)), s
+    *_, left, right = operations._pair_walk(lhs, rhs)
+    assert left == bits(lhs.finals)
+    assert right == bits(lhs.state_count + f for f in rhs.finals)
+    size = 1 << (lhs.state_count + rhs.state_count)
+    chain = (tuple(min(s + 1, size - 1) for s in range(size)),)
+    walk = (("a",), list(range(size)), chain, left, right)
+    monkeypatch.setattr(operations, "_pair_walk", lambda *pair: walk)
+    result = boolean(op, lhs, rhs).dfa
+    for s in range(size):
+        assert word_in(result, "a" * s) == holds(op, bool(s & left), bool(s & right)), s
+
+
+def test_operations_on_a_pair_share_its_walk_and_nothing_else():
+    # The ten operations on a pair walk it once. Each result, whether its
+    # walk was kept from the call before or not, equals the one computed
+    # from an empty cache, also when the pairs interleave and when an
+    # operand is rebuilt equal to, but not the same object as, the last.
+    rng = random.Random(29)
+    a, b, c, d = (random_dfa(rng, max_states=5, letters="abc") for _ in range(4))
+    operations._pair_walk.cache_clear()
+    for op in TEN_OPS:
+        boolean(op, a, b)
+    assert operations._pair_walk.cache_info().misses == 1
+    for lhs, rhs in [(a, b), (c, d), (a, b), (b, a), (a, b), (replace(a), b)]:
+        for op in TEN_OPS:
+            shared = boolean(op, lhs, rhs)
+            operations._pair_walk.cache_clear()
+            assert boolean(op, lhs, rhs) == shared, (op, lhs, rhs)
 
 
 def test_boolean_symmetry(rng):

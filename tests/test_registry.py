@@ -4,6 +4,7 @@ import concurrent.futures
 import dataclasses
 import itertools
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -14,10 +15,12 @@ from statecomplexity import (
     VerificationRow,
     all_match,
     emit_report,
+    operations,
     registry,
     registry_by_id,
     run_sweep,
 )
+from statecomplexity.bounds import BOOLEAN_BY_NAME
 
 from conftest import DEFAULT_RANGES, GOLDEN_GRID, golden_within
 
@@ -192,26 +195,38 @@ def recording_pool(monkeypatch):
     return RecordingPool.made
 
 
-def test_a_serial_sweep_never_imports_the_process_pool():
-    # The pool's module loads only when a sweep sends cells to it, so
-    # importing the package and sweeping serially pay nothing for it.
+def loaded_in_a_fresh_process(script: str, modules: list[str]) -> list[str]:
+    """Those of `modules` that a new `python -S` has loaded after `script`."""
     import statecomplexity
 
-    script = (
-        "import sys, statecomplexity as s; s.registry_by_id();"
-        " s.run_sweep(ids=['REG-KAPPA'], n_range=(3, 3));"
-        " print('concurrent.futures' in sys.modules)"
-    )
     src = Path(statecomplexity.__file__).parents[1]
     proc = subprocess.run(
-        [sys.executable, "-S", "-c", script],
+        [sys.executable, "-S", "-c", f"{script}\nimport sys; print(*sys.modules, sep='\\n')"],
         capture_output=True,
         text=True,
         env=dict(os.environ, PYTHONPATH=str(src)),
         timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    return [name for name in modules if name in proc.stdout.splitlines()]
+
+
+def test_a_serial_sweep_never_imports_the_process_pool():
+    # The pool's module loads only when a sweep sends cells to it, so
+    # importing the package and sweeping serially pay nothing for it.
+    script = (
+        "import statecomplexity as s; s.registry_by_id();"
+        " s.run_sweep(ids=['REG-KAPPA'], n_range=(3, 3))"
+    )
+    assert loaded_in_a_fresh_process(script, ["concurrent.futures"]) == []
+
+
+def test_importing_the_package_loads_no_avoidable_stdlib_module():
+    # Import time is paid by every process: the CLI's parser, the pool and
+    # the `string` module (the witnesses spell their letters out) stay out.
+    script = "import statecomplexity as s; s.registry_by_id()"
+    modules = ["string", "argparse", "concurrent.futures"]
+    assert loaded_in_a_fresh_process(script, modules) == []
 
 
 def test_pool_is_capped_at_the_number_of_batches(recording_pool):
@@ -318,6 +333,32 @@ def test_default_sweep_reproduces_the_golden_columns():
     # `verify`, 8 documented mismatches included. A faster kernel must
     # give these bytes exactly.
     assert golden_columns(run_sweep()) == golden_within(DEFAULT_RANGES)
+
+
+def boolean_cells(rows: list[VerificationRow]) -> int:
+    table = registry_by_id()
+    return sum(table[r.entry_id].operation in BOOLEAN_BY_NAME for r in rows)
+
+
+@pytest.mark.parametrize(
+    "span, walks, cells", [(None, 91, 314), ((3, 7), 259, 900)], ids=["default", "3to7"]
+)
+def test_a_sweep_walks_each_boolean_operand_pair_once(span, walks, cells):
+    # The boolean cells that read one pair of witnesses at one (m, n) run
+    # back to back and share one walk: one per pair, not one per cell.
+    operations._pair_walk.cache_clear()
+    rows = run_sweep(m_range=span, n_range=span)
+    assert boolean_cells(rows) == cells
+    assert operations._pair_walk.cache_info().misses == walks
+
+
+def test_a_shuffled_sweep_gives_the_registry_order_rows_and_walks():
+    ids = list(registry_by_id())
+    random.Random(1).shuffle(ids)
+    operations._pair_walk.cache_clear()
+    rows = run_sweep(ids=ids)
+    assert operations._pair_walk.cache_info().misses == 91
+    assert golden_columns(rows) == golden_within(DEFAULT_RANGES)
 
 
 KNOWN_DEFECT_IDS = {"LID-ATOMS", "TID-ATOM-COUNT", "TID-ATOMS", "TID-REVERSE"}

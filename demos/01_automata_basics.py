@@ -7,7 +7,6 @@ from statecomplexity import (
     Dfa,
     accepts,
     build_regular,
-    language_alphabet,
     minimize,
     parse_dfa,
     quotient_complexity,
@@ -60,6 +59,6 @@ astar = Dfa(
     finals=frozenset({0}),
 )
 print("\nalphabet of a* as declared:", astar.alphabet)
-print("alphabet of the language:  ", language_alphabet(astar))
+print("alphabet of the language:  ", trim_alphabet(astar).alphabet)
 print("trimmed machine:           ", trim_alphabet(astar).state_count, "state(s)")
 print("quotient complexity:       ", quotient_complexity(astar))

@@ -13,12 +13,10 @@ from .automata import (
     CapacityError,
     Dfa,
     accepts,
-    language_alphabet,
     make_alphabet,
     minimize,
     quotient_complexity,
     quotient_complexity_of_state,
-    restrict_alphabet,
     trim_alphabet,
     union_alphabets,
 )

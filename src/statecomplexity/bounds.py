@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import ast
 import functools
+import os
 import re
 import sys
 import time
@@ -60,7 +61,7 @@ class WitnessRecipe:
     witness: WitnessClass
     dialect: str = ""  # empty string keeps the full canonical alphabet
 
-    @functools.cache  # keyed by (recipe, n); a Dfa is frozen, so sharing it is safe
+    @functools.lru_cache(maxsize=None, typed=True)  # typed: build(4.0) misses, so it is refused
     def build(self, n: int) -> Dfa:
         base = self.witness.build(n)
         if not self.dialect:
@@ -116,12 +117,14 @@ class BoundEntry:
     def expected(self, m: Optional[int], n: int) -> int:
         """The formula text at (m, n); m is ignored by unary entries.
 
-        Cells below the witness floor are refused with ValueError: the
-        stream has no witness there, so the text states no bound.
+        A cell below the witness floor or of a non-int size raises
+        ValueError: the stream has no witness there, so the text states no bound.
         """
         floor = self.lhs.witness.min_n
-        if n < floor or (self.is_binary and (m is None or m < floor)):
-            raise ValueError(f"{self.entry_id} is stated for m, n >= {floor}, not m={m}, n={n}")
+        if type(n) is not int or n < floor or (
+            self.is_binary and (type(m) is not int or m < floor)
+        ):
+            raise ValueError(f"{self.entry_id} is stated for int m, n >= {floor}, not m={m}, n={n}")
         return eval(_compile_formula(self.formula_text), {"__builtins__": {}}, {"m": m, "n": n})
 
 
@@ -316,6 +319,8 @@ def atom_formula(witness_class: WitnessClass, n: int, s: Iterable[int]) -> int:
     initial state without being Q_n, so no word has it; the value belongs
     to Q_n minus {0}.
     """
+    if type(n) is not int:
+        raise ValueError(f"{witness_class.value} witness needs an int n, got {n!r}")
     if n < witness_class.min_n:
         raise ValueError(f"{witness_class.value} witness needs n >= {witness_class.min_n}")
     s = _profile(s, n)
@@ -439,9 +444,9 @@ def run_sweep(
     """Evaluate the selected entries over the grid; rows sorted by (id, m, n).
 
     Row content is deterministic and independent of the job count. The
-    boolean cells of one operand pair run back to back. With
-    `jobs > 1` the cells go in contiguous batches to at most `jobs` worker
-    processes, and to no more processes than there are batches. Range
+    binary cells of one operand pair run back to back. With `jobs > 1`
+    the cells go in contiguous batches to at most `jobs` worker
+    processes, and to no more than there are batches or CPUs. Range
     cells below an entry's validity floor are skipped with a notice on
     stderr. An unknown id raises `KeyError` and a repeated one
     `ValueError`, each naming the ids.
@@ -463,20 +468,19 @@ def run_sweep(
         for notice in notices:
             print(f"notice: {notice}", file=sys.stderr)
         tasks.extend(cells)
-    # Boolean cells that read the same operands at the same (m, n) run back
-    # to back, in the place of the first of them, so they share one walk
-    # (`operations._pair_walk`); every other cell keeps its place.
+    # Binary cells that read the same operands at the same (m, n) run back
+    # to back, in the place of the first of them, so the boolean ones share
+    # one walk (`operations._pair_walk`); every unary cell keeps its place.
     groups: dict[tuple, list[tuple[str, Optional[int], int]]] = {}
     for task in tasks:
         entry = table[task[0]]
-        shared = entry.operation in BOOLEAN_BY_NAME
-        key = (entry.lhs, entry.rhs, *task[1:]) if shared else task
+        key = (entry.lhs, entry.rhs, *task[1:]) if entry.is_binary else task
         groups.setdefault(key, []).append(task)
     tasks = [task for group in groups.values() for task in group]
     if jobs > 1 and len(tasks) > 1:
         import concurrent.futures  # only here: a serial sweep never loads the pool
         batch = -(-len(tasks) // (_BATCHES_PER_WORKER * jobs))
-        workers = min(jobs, -(-len(tasks) // batch))
+        workers = min(jobs, -(-len(tasks) // batch), os.cpu_count() or 1)
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_evaluate_by_id, tasks, chunksize=batch))
     else:

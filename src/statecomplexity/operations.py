@@ -4,17 +4,17 @@ Binary operations take their operands as they are declared: each DFA
 carries only its own letters. Every construction is a subset walk over
 int bitmasks whose masks come from `_moves`: each operand's states sit
 at their own bits, and a letter an operand lacks empties that operand's
-part of the subset, which stands for its empty quotient. So product,
-star, the boolean operations and complement share one mechanism, and
-complement always means complement with respect to the universe the
-walk reads; reversal walks preimages instead. The ten boolean operations
-on one pair are one walk, the direct product of the two operands, each
-completed by its empty quotient (`_pair_walk`); each operation reads its
-own final subsets off that walk. Every result is minimal,
-trimmed to the alphabet of the result language, and reported with its
-quotient complexity. Each walk is minimized after it, except reversal's:
-its operand is minimized first, and the preimage walk of a minimal DFA
-is minimal by Brzozowski's theorem, so it is not refined.
+part of the subset, which stands for its empty quotient, so complement
+always means complement with respect to the universe the walk reads.
+Product and the ten boolean operations are one walk of both operands
+side by side (`_walk_pair`), product's linking the left finals to the
+right initial state, read by one truth-table reader (`_read`). Star,
+complement and reversal walk one operand with `determinize`; reversal
+walks preimages. Every result is minimal, trimmed to the alphabet of
+the result language, and reported with its quotient complexity. Each
+walk is minimized after it, except reversal's: its operand is minimized
+first, and the preimage walk of a minimal DFA is minimal by
+Brzozowski's theorem, so it is not refined.
 
 Two languages are equal iff `trim_alphabet` gives the same DFA for both
 over the same letter order (minimize is canonical).
@@ -71,6 +71,9 @@ class OpResult:
     kappa: int
 
 
+_PairWalk = tuple[tuple[str, ...], list[int], tuple[tuple[int, ...], ...], int, int]
+
+
 def _finish(d: Dfa) -> OpResult:
     trimmed = trim_alphabet(d)
     return OpResult(dfa=trimmed, kappa=trimmed.state_count)
@@ -91,70 +94,62 @@ def _moves(d: Dfa, alphabet: tuple[str, ...], offset: int = 0, link: int = 0) ->
     ]
 
 
-def product(lhs: Dfa, rhs: Dfa) -> OpResult:
-    """Concatenation of the two languages over the union of their alphabets.
+def _walk_pair(lhs: Dfa, rhs: Dfa, link: bool) -> _PairWalk:
+    """The subset walk of both minimized operands over the union alphabet.
 
-    Subset walk over the left states (bits 0..m-1) and the right states
-    (bits m..m+n-1): entering a final state of the left operand also
-    enters the right operand's initial state.
+    The left states sit at bits 0..m-1 and the right states at m..m+n-1.
+    Unlinked, it is the direct product of the operands completed by their
+    empty quotients. Linked (product), entering a left final state, the
+    start included, is what enters the right initial state.
+    Returns the alphabet, the subsets, the rows and the masks of the left
+    and right final states.
     """
     lhs = minimize(lhs)
     rhs = minimize(rhs)
     combined = union_alphabets(lhs.alphabet, rhs.alphabet)
     offset = lhs.state_count
     enter_rhs = 1 << (offset + rhs.initial)
-    masks = [
-        left + right
-        for left, right in zip(
-            _moves(lhs, combined, link=enter_rhs), _moves(rhs, combined, offset)
-        )
-    ]
-    start = 1 << lhs.initial | (enter_rhs if lhs.initial in lhs.finals else 0)
-    right_finals = bits(offset + f for f in rhs.finals)
-    subsets = determinize(combined, start, masks, lambda s: s & right_finals)
-    return _finish(subsets)
-
-
-# Only the last pair's walk is kept: a sweep runs each pair's cells back to back.
-@functools.lru_cache(maxsize=1)
-def _pair_walk(
-    lhs: Dfa, rhs: Dfa
-) -> tuple[tuple[str, ...], list[int], tuple[tuple[int, ...], ...], int, int]:
-    """The walk every boolean operation on (lhs, rhs) reads its finals from.
-
-    Subset walk over both minimized operands side by side, the left
-    states at bits 0..m-1 and the right states at bits m..m+n-1; a subset
-    holds at most one state of each, and none once a missing letter has
-    emptied it. Returns the union alphabet, the walk's subsets and rows,
-    and the masks of the left and right final states.
-    """
-    lhs = minimize(lhs)
-    rhs = minimize(rhs)
-    combined = union_alphabets(lhs.alphabet, rhs.alphabet)
-    offset = lhs.state_count
-    masks = [
-        left + right
-        for left, right in zip(_moves(lhs, combined), _moves(rhs, combined, offset))
-    ]
-    keys, rows = subset_walk((1 << lhs.initial | 1 << (offset + rhs.initial),), masks)
+    left_moves = _moves(lhs, combined, link=enter_rhs if link else 0)
+    masks = [left + right for left, right in zip(left_moves, _moves(rhs, combined, offset))]
+    start = 1 << lhs.initial | (enter_rhs if not link or lhs.initial in lhs.finals else 0)
+    keys, rows = subset_walk((start,), masks)
     right_finals = bits(offset + f for f in rhs.finals)
     return combined, keys, tuple(map(tuple, rows)), bits(lhs.finals), right_finals
+
+
+# Only the last pair's unlinked walk is kept: a sweep runs each pair's cells back to back.
+@functools.lru_cache(maxsize=1)
+def _pair_walk(lhs: Dfa, rhs: Dfa) -> _PairWalk:
+    """The unlinked walk of (lhs, rhs), which every boolean operation reads."""
+    return _walk_pair(lhs, rhs, link=False)
+
+
+def _read(walk: _PairWalk, table: tuple[bool, bool, bool, bool]) -> OpResult:
+    """The walk as a DFA whose finals are the subsets `table` accepts.
+
+    `table` is a truth table (TT, TF, FT, FF): whether a subset is final
+    given whether it holds a left final state and a right final state.
+    """
+    combined, keys, rows, left_finals, right_finals = walk
+    finals = frozenset(
+        i for i, s in enumerate(keys) if table[(not s & left_finals) << 1 | (not s & right_finals)]
+    )
+    return _finish(_walk_dfa(len(keys), combined, rows, finals))
+
+
+def product(lhs: Dfa, rhs: Dfa) -> OpResult:
+    """Concatenation over the union alphabet: the linked walk, read as "in the right operand"."""
+    return _read(_walk_pair(lhs, rhs, link=True), (True, False, True, False))
 
 
 def boolean(op: BooleanOp, lhs: Dfa, rhs: Dfa) -> OpResult:
     """Any of the ten proper boolean operations over the union alphabet.
 
-    Every operation on a pair reads one walk (`_pair_walk`), the direct
-    product of the operands completed by their empty quotients; only the
-    final subsets depend on `op`. The walk of the last pair is kept, so
-    the operations of one pair called back to back walk it once.
+    Every operation on a pair reads the pair's unlinked walk, with its
+    own truth table; the walk of the last pair is kept, so the operations
+    of one pair called back to back walk it once.
     """
-    combined, keys, rows, left_finals, right_finals = _pair_walk(lhs, rhs)
-    table = op.value  # indexed as (TT, TF, FT, FF): 2·(not in lhs) + (not in rhs)
-    finals = frozenset(
-        i for i, s in enumerate(keys) if table[(not s & left_finals) << 1 | (not s & right_finals)]
-    )
-    return _finish(_walk_dfa(len(keys), combined, rows, finals))
+    return _read(_pair_walk(lhs, rhs), op.value)
 
 
 def complement(d: Dfa, universe: tuple[str, ...] | str) -> OpResult:

@@ -296,6 +296,11 @@ def test_explicit_profiles_refuse_below_the_witness_floor(cls):
     assert str(refused.value) == f"{cls.value} witness needs n >= {cls.min_n}"
 
 
+def test_explicit_profiles_refuse_a_size_that_is_not_an_int():
+    with pytest.raises(ValueError, match="needs an int n, got 4.0"):
+        atom_formula(WitnessClass.REGULAR, 4.0, {0})
+
+
 @pytest.mark.parametrize("tag", ["REG", "RID", "LID", "TID"])
 def test_atom_rows_read_minimal_witnesses(tag):
     # An atom row counts the atoms of its witness as built, without

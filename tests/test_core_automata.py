@@ -13,14 +13,12 @@ from statecomplexity import (
     automata,
     build_regular,
     build_two_sided_ideal,
-    language_alphabet,
     minimize,
     operations,
     parse_dialect,
     quotient_complexity,
     quotient_complexity_of_state,
     render_dfa,
-    restrict_alphabet,
     run_sweep,
     trim_alphabet,
 )
@@ -28,8 +26,10 @@ from statecomplexity.automata import (
     bits,
     components,
     determinize,
+    language_alphabet,
     nerode_classes,
     preimage_masks,
+    restrict_alphabet,
     subset_walk,
 )
 from statecomplexity.bounds import BOOLEAN_BY_NAME, registry_by_id

@@ -156,39 +156,57 @@ def test_boolean_truth_tables_against_membership(rng):
                 assert word_in(out, w) == holds(op, a, b), (op, w)
 
 
-@pytest.mark.parametrize("op", TEN_OPS, ids=lambda op: op.name)
+@pytest.mark.parametrize("op", [*TEN_OPS, "product"], ids=lambda op: getattr(op, "name", op))
 def test_boolean_acceptance_reads_the_truth_table(monkeypatch, op):
-    """The walk's final subsets are those `holds` accepts, every subset checked.
+    """The walk's final subsets are those the truth table accepts, every subset checked.
 
-    `boolean` reads its finals off the keys of `_pair_walk`. A stand-in
-    walk keeps the real final masks and lists every subset of the m+n
-    operand states as a chain on one letter, so a^s is in the result iff
-    subset s is final.
+    `boolean` reads its finals off the keys of `_pair_walk`, and `product`
+    off those of the linked `_walk_pair`, where a subset is final iff it
+    holds a right final state. A stand-in walk keeps the real final masks
+    and lists every subset of the m+n operand states as a chain on one
+    letter, so a^s is in the result iff subset s is final.
     """
     lhs, rhs = minimize(fig_ends_in_b()), minimize(fig_ends_in_c())
-    *_, left, right = operations._pair_walk(lhs, rhs)
+    *_, left, right = operations._walk_pair(lhs, rhs, link=op == "product")
     assert left == bits(lhs.finals)
     assert right == bits(lhs.state_count + f for f in rhs.finals)
     size = 1 << (lhs.state_count + rhs.state_count)
     chain = (tuple(min(s + 1, size - 1) for s in range(size)),)
     walk = (("a",), list(range(size)), chain, left, right)
-    monkeypatch.setattr(operations, "_pair_walk", lambda *pair: walk)
-    result = boolean(op, lhs, rhs).dfa
-    for s in range(size):
-        assert word_in(result, "a" * s) == holds(op, bool(s & left), bool(s & right)), s
+    if op == "product":
+
+        def linked_walk(lhs, rhs, link):
+            assert link
+            return walk
+
+        monkeypatch.setattr(operations, "_walk_pair", linked_walk)
+        result = product(lhs, rhs).dfa
+        for s in range(size):
+            assert word_in(result, "a" * s) == bool(s & right), s
+    else:
+        monkeypatch.setattr(operations, "_pair_walk", lambda *pair: walk)
+        result = boolean(op, lhs, rhs).dfa
+        for s in range(size):
+            assert word_in(result, "a" * s) == holds(op, bool(s & left), bool(s & right)), s
 
 
 def test_operations_on_a_pair_share_its_walk_and_nothing_else():
-    # The ten operations on a pair walk it once. Each result, whether its
-    # walk was kept from the call before or not, equals the one computed
-    # from an empty cache, also when the pairs interleave and when an
-    # operand is rebuilt equal to, but not the same object as, the last.
+    # The ten operations on a pair walk it once, and a product of the pair
+    # called between them neither walks it nor evicts it. Each result,
+    # whether its walk was kept from the call before or not, equals the
+    # one computed from an empty cache, also when the pairs interleave and
+    # when an operand is rebuilt equal to, but not the same object as, the
+    # last.
     rng = random.Random(29)
     a, b, c, d = (random_dfa(rng, max_states=5, letters="abc") for _ in range(4))
     operations._pair_walk.cache_clear()
+    products = []
     for op in TEN_OPS:
         boolean(op, a, b)
+        products.append(product(a, b))
     assert operations._pair_walk.cache_info().misses == 1
+    operations._pair_walk.cache_clear()
+    assert products == [product(a, b)] * len(TEN_OPS)
     for lhs, rhs in [(a, b), (c, d), (a, b), (b, a), (a, b), (replace(a), b)]:
         for op in TEN_OPS:
             shared = boolean(op, lhs, rhs)

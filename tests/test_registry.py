@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import concurrent.futures
 import dataclasses
-import itertools
 import os
 import random
 import subprocess
@@ -13,6 +12,8 @@ import pytest
 
 from statecomplexity import (
     VerificationRow,
+    WitnessClass,
+    WitnessRecipe,
     all_match,
     emit_report,
     operations,
@@ -60,6 +61,26 @@ def test_expected_refuses_cells_below_the_witness_floor():
     with pytest.raises(ValueError):
         table["RID-PROD-U"].expected(1, 1)  # the text alone would give 3.5
     assert table["REG-STAR"].expected(None, 3) == 6
+
+
+@pytest.mark.parametrize("m, n", [(None, 4.5), (4.0, 4), (4, 4.0)])
+def test_expected_refuses_sizes_that_are_not_ints(m, n):
+    table = registry_by_id()
+    entry = table["REG-KAPPA"] if m is None else table["RID-PROD-U"]
+    with pytest.raises(ValueError, match="is stated for int m, n"):
+        entry.expected(m, n)
+
+
+def test_a_recipe_refuses_a_size_that_is_not_an_int_whatever_it_has_built():
+    # The cache must not answer build(4.0) with the witness of build(4):
+    # the refusal does not depend on what was built before.
+    recipe = WitnessRecipe(WitnessClass.REGULAR, "a,b,c")
+    recipe.build.cache_clear()
+    for warm in (False, True):
+        if warm:
+            assert recipe.build(4).state_count == 4
+        with pytest.raises(ValueError, match="needs an int n, got 4.0"):
+            recipe.build(4.0)
 
 
 # Every distinct formula text of the registry, evaluated by hand at m=5, n=7.
@@ -170,22 +191,28 @@ def test_batches_of_uneven_size_give_the_serial_rows():
     assert strip(run_sweep(ids=ids, m_range=(3, 5), n_range=(3, 7), jobs=3)) == strip(serial)
 
 
-class RecordingPool(concurrent.futures.ThreadPoolExecutor):
-    """A process-pool stand-in on threads that records its sizing and batches like the real one."""
+class RecordingPool:
+    """A process-pool stand-in that records its sizing and batches like the
+    real one and runs the batches serially in the calling thread, so it
+    starts no process and no thread however many workers it is asked for."""
 
     made: list[RecordingPool] = []
 
     def __init__(self, max_workers):
-        super().__init__(max_workers=max_workers)
         self.max_workers = max_workers
         self.batches: list[list] = []
         RecordingPool.made.append(self)
 
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return None
+
     def map(self, fn, tasks, chunksize=1):
         tasks = list(tasks)
         self.batches = [tasks[i : i + chunksize] for i in range(0, len(tasks), chunksize)]
-        done = super().map(lambda batch: [fn(task) for task in batch], self.batches)
-        return itertools.chain.from_iterable(done)
+        return [fn(task) for batch in self.batches for task in batch]
 
 
 @pytest.fixture
@@ -229,13 +256,26 @@ def test_importing_the_package_loads_no_avoidable_stdlib_module():
     assert loaded_in_a_fresh_process(script, modules) == []
 
 
-def test_pool_is_capped_at_the_number_of_batches(recording_pool):
+def test_pool_is_capped_at_the_number_of_batches(recording_pool, monkeypatch):
     # Two cells at --jobs 64 need two workers, not 64 forked processes.
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
     serial = run_sweep(ids=["REG-KAPPA"], n_range=(3, 4))
     rows = run_sweep(ids=["REG-KAPPA"], n_range=(3, 4), jobs=64)
     (pool,) = recording_pool
     assert pool.max_workers == 2 and len(pool.batches) == 2
     assert strip(rows) == strip(serial)
+
+
+@pytest.mark.parametrize("cpus, workers", [(2, 2), (None, 1)])
+def test_pool_is_capped_at_the_number_of_cpus(recording_pool, monkeypatch, cpus, workers):
+    # --jobs 500 on the default grid makes more batches than workers can
+    # help with: a CPU-bound sweep asks for no more workers than there are
+    # CPUs (one when the count is unknown), not one per batch.
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    rows = run_sweep(jobs=500)
+    (pool,) = recording_pool
+    assert pool.max_workers == workers
+    assert golden_columns(rows) == golden_within(DEFAULT_RANGES)
 
 
 def test_a_failing_cell_leaves_the_rest_of_its_batch_intact(recording_pool, monkeypatch):
@@ -352,9 +392,13 @@ def test_a_sweep_walks_each_boolean_operand_pair_once(span, walks, cells):
     assert operations._pair_walk.cache_info().misses == walks
 
 
-def test_a_shuffled_sweep_gives_the_registry_order_rows_and_walks():
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_a_shuffled_sweep_gives_the_registry_order_rows_and_walks(seed):
+    # REG-PROD-U reads the pair of the ten REG-BOOL-U rows, so each seed
+    # puts its cells at another place inside their groups: a product walk
+    # never evicts the kept boolean walk.
     ids = list(registry_by_id())
-    random.Random(1).shuffle(ids)
+    random.Random(seed).shuffle(ids)
     operations._pair_walk.cache_clear()
     rows = run_sweep(ids=ids)
     assert operations._pair_walk.cache_info().misses == 91

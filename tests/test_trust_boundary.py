@@ -25,9 +25,9 @@ from statecomplexity import (
     apply_dialect,
     quotient_complexity,
     quotient_complexity_of_state,
-    restrict_alphabet,
     run_sweep,
 )
+from statecomplexity.automata import restrict_alphabet
 
 from conftest import random_dfa
 

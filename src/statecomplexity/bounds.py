@@ -360,6 +360,7 @@ def _check_atoms(entry: BoundEntry, n: int) -> tuple[int, int]:
 def evaluate_cell(entry: BoundEntry, m: Optional[int], n: int) -> VerificationRow:
     """Build the witnesses, run the operation, and compare against the bound."""
     start = time.perf_counter()
+    expected = measured = -1  # a failed cell keeps the expected value it got to
     error = ""
     try:
         if entry.operation == "atoms":
@@ -374,11 +375,6 @@ def evaluate_cell(entry: BoundEntry, m: Optional[int], n: int) -> VerificationRo
             else:
                 measured = MEASURES[entry.operation](lhs)
     except Exception as exc:  # failed cells become failed rows, not crashes
-        try:
-            expected = -1 if entry.operation == "atoms" else entry.expected(m, n)
-        except Exception:
-            expected = -1
-        measured = -1
         error = f"{type(exc).__name__}: {exc}"
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     return VerificationRow(
@@ -409,30 +405,29 @@ def _cells_for(
     m_range: Optional[tuple[int, int]],
     n_range: Optional[tuple[int, int]],
 ) -> tuple[list[tuple[str, Optional[int], int]], list[str]]:
-    notices = []
     floor = entry.lhs.witness.min_n
-    lo_m, hi_m = m_range if m_range else _DEFAULT_RANGE[entry.lhs.witness]
-    lo_n, hi_n = n_range if n_range else _DEFAULT_RANGE[entry.lhs.witness]
-    ms = [m for m in range(lo_m, hi_m + 1) if m >= floor]
-    ns = [n for n in range(lo_n, hi_n + 1) if n >= floor]
-    skipped_m = [m for m in range(lo_m, hi_m + 1) if m < floor]
-    skipped_n = [n for n in range(lo_n, hi_n + 1) if n < floor]
-    if entry.is_binary:
-        if skipped_m or skipped_n:
-            notices.append(
-                f"{entry.entry_id}: skipping m<{floor} or n<{floor} "
-                f"(outside the witness range)"
-            )
-        cells = [(entry.entry_id, m, n) for m in ms for n in ns]
-    else:
-        if skipped_n:
-            notices.append(
-                f"{entry.entry_id}: skipping n<{floor} (outside the witness range)"
-            )
-        cells = [(entry.entry_id, None, n) for n in ns]
+    spans = {"n": n_range or _DEFAULT_RANGE[entry.lhs.witness]}
+    if entry.is_binary:  # a unary entry is the binary case whose one m is None
+        spans["m"] = m_range or _DEFAULT_RANGE[entry.lhs.witness]
+    sizes = {name: range(max(lo, floor), hi + 1) for name, (lo, hi) in spans.items()}
+    cells = [(entry.entry_id, m, n) for m in sizes.get("m", [None]) for n in sizes["n"]]
+    notices = []
+    if any(lo < floor for lo, _ in spans.values()):
+        cut = " or ".join(f"{name}<{floor}" for name in sorted(spans))
+        notices.append(f"{entry.entry_id}: skipping {cut} (outside the witness range)")
     if not cells:
         notices.append(f"{entry.entry_id}: requested range is entirely outside validity")
     return cells, notices
+
+
+def _check_range(name: str, span: Optional[tuple[int, int]]) -> None:
+    if span is not None and not (
+        isinstance(span, tuple)
+        and len(span) == 2
+        and all(type(end) is int for end in span)
+        and span[0] <= span[1]
+    ):
+        raise ValueError(f"{name} must be None or an int pair lo <= hi, not {span!r}")
 
 
 def run_sweep(
@@ -444,13 +439,23 @@ def run_sweep(
     """Evaluate the selected entries over the grid; rows sorted by (id, m, n).
 
     Row content is deterministic and independent of the job count. The
-    binary cells of one operand pair run back to back. With `jobs > 1`
-    the cells go in contiguous batches to at most `jobs` worker
-    processes, and to no more than there are batches or CPUs. Range
-    cells below an entry's validity floor are skipped with a notice on
-    stderr. An unknown id raises `KeyError` and a repeated one
-    `ValueError`, each naming the ids.
+    binary cells of one operand pair run back to back. The sweep uses
+    `min(jobs, cells, os.cpu_count())` workers: one runs the cells
+    serially in this process, and more get the cells in contiguous
+    batches, `_BATCHES_PER_WORKER` per worker. Range cells below an
+    entry's validity floor are skipped with a notice on stderr. An
+    unknown id raises `KeyError` and a repeated one `ValueError`, each
+    naming the ids; malformed arguments raise `ValueError` naming the
+    argument.
     """
+    if ids is not None and not (
+        isinstance(ids, (list, tuple)) and all(isinstance(i, str) for i in ids)
+    ):
+        raise ValueError(f"ids must be None or a list of registry ids, not {ids!r}")
+    _check_range("m_range", m_range)
+    _check_range("n_range", n_range)
+    if type(jobs) is not int or jobs < 1:
+        raise ValueError(f"jobs must be an int >= 1, not {jobs!r}")
     table = registry_by_id()
     if ids is None:
         selected = list(table.values())
@@ -477,10 +482,10 @@ def run_sweep(
         key = (entry.lhs, entry.rhs, *task[1:]) if entry.is_binary else task
         groups.setdefault(key, []).append(task)
     tasks = [task for group in groups.values() for task in group]
-    if jobs > 1 and len(tasks) > 1:
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
         import concurrent.futures  # only here: a serial sweep never loads the pool
-        batch = -(-len(tasks) // (_BATCHES_PER_WORKER * jobs))
-        workers = min(jobs, -(-len(tasks) // batch), os.cpu_count() or 1)
+        batch = -(-len(tasks) // (_BATCHES_PER_WORKER * workers))
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_evaluate_by_id, tasks, chunksize=batch))
     else:

@@ -202,6 +202,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
+    except MemoryError:
+        # Matched first, since matching a tuple of classes allocates the
+        # tuple. The fixed line (the error's message is empty) is printed
+        # once the handler has dropped the exception, and with it the
+        # frames that held the memory.
+        pass
     except KeyError as exc:  # str() of a KeyError quotes its message
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
@@ -211,9 +217,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except MemoryError:  # its message is empty
-        print("error: out of memory", file=sys.stderr)
-        return 3
+    print("error: out of memory", file=sys.stderr)
+    return 3
 
 
 if __name__ == "__main__":

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import io
+import os
+import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
-
-import random
 
 from statecomplexity import (
     Dfa,
@@ -256,8 +259,6 @@ def test_huge_state_count_needs_no_memory_per_state(tmp_path):
     # per declared state. Capping the address space at 1 GiB turns such an
     # allocation into a failure instead of exhausting the machine.
     import resource
-    import subprocess
-    import sys
 
     path = tmp_path / "huge.dfa"
     path.write_text("states 100000000000\nalphabet\ninitial 0\nfinal 0\n")
@@ -288,6 +289,123 @@ def test_memory_error_is_exit_3_with_one_line(tmp_path, capsys, monkeypatch):
     code, stdout, stderr = run_cli(capsys, "measure", "semigroup", str(path))
     assert code == 3 and stdout == ""
     assert stderr.splitlines() == ["error: out of memory"]
+
+
+def test_out_of_memory_line_is_printed_once_the_memory_is_released(tmp_path, monkeypatch):
+    # The frames of a failed construction hold its memory for as long as the
+    # MemoryError is being handled, so the line is written after that.
+    import weakref
+
+    import statecomplexity.bounds as reg_mod
+
+    class Hoard:
+        pass
+
+    held: list[weakref.ref] = []
+    released: list[bool] = []
+
+    def exhaust(d):
+        hoard = Hoard()
+        held.append(weakref.ref(hoard))
+        raise MemoryError
+
+    class Stderr(io.StringIO):
+        def write(self, text):
+            released.append(held[0]() is None)
+            return super().write(text)
+
+    path = tmp_path / "w.dfa"
+    path.write_text(render_dfa(fig_ends_in_b()))
+    monkeypatch.setitem(reg_mod.MEASURES, "complexity", exhaust)
+    monkeypatch.setattr(sys, "stderr", Stderr())
+    assert main(["measure", "kappa", str(path)]) == 3
+    assert sys.stderr.getvalue() == "error: out of memory\n"
+    assert released and all(released)
+
+
+# The address-space cap of the memory-limit tests: enough for the
+# interpreter and the package (under 20 MiB), too little for the largest
+# constructions of the 14-state regular witness.
+MEMORY_CAP_MIB = 96
+
+
+def run_capped(*args: str, cwd: Path) -> subprocess.CompletedProcess:
+    """`python ARGS` in a fresh process whose address space is capped."""
+    resource = pytest.importorskip("resource")  # POSIX only
+    import statecomplexity
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (MEMORY_CAP_MIB << 20,) * 2)
+
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        cwd=cwd,
+        env=dict(os.environ, PYTHONPATH=str(Path(statecomplexity.__file__).parents[1])),
+        preexec_fn=cap_memory,
+        timeout=60,
+    )
+
+
+# Fills the address space with ever smaller blocks from inside a measure and
+# keeps them in its frame, so the MemoryError reaches `main` with (nearly)
+# nothing left to allocate.
+HOARD = """
+import sys
+from statecomplexity import bounds
+from statecomplexity.cli import main
+
+def hoard(dfa):
+    held, size = None, 1 << 16
+    while size:
+        try:
+            held = (held, bytearray(size))
+        except MemoryError:
+            size //= 2
+    raise MemoryError
+
+bounds.MEASURES["complexity"] = hoard
+sys.exit(main(["measure", "kappa", sys.argv[1]]))
+"""
+
+
+def test_running_out_of_memory_is_exit_3_with_one_line_under_a_real_limit(tmp_path):
+    (tmp_path / "w.dfa").write_text(render_dfa(fig_ends_in_b()))
+    proc = run_capped("-c", HOARD, "w.dfa", cwd=tmp_path)
+    assert (proc.returncode, proc.stderr) == (3, "error: out of memory\n")
+
+
+@pytest.fixture(scope="module")
+def witness_files(tmp_path_factory):
+    """The 14-state regular witness, and one over other letters, as files."""
+    folder = tmp_path_factory.mktemp("witness14")
+    for name, dialect in (("lhs.dfa", ""), ("rhs.dfa", "b,a,-,d")):
+        argv = ["witness", "gen", "regular", "14", "--dialect", dialect, "-o", str(folder / name)]
+        assert main(argv) == 0
+    return folder
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *(("measure", quantity, "lhs.dfa") for quantity in
+          ("kappa", "semigroup", "atoms", "atom-complexities", "quotients")),
+        *(("op", name, "lhs.dfa", "rhs.dfa") for name in ("product", "union")),
+        *(("op", name, "lhs.dfa") for name in ("star", "reverse", "complement")),
+    ],
+    ids=" ".join,
+)
+def test_every_command_under_a_memory_limit_exits_0_or_3_with_at_most_one_line(
+    witness_files, argv
+):
+    # Under the cap, product, semigroup and atom-complexities run out of
+    # memory at this size; each command must still end cleanly.
+    proc = run_capped("-m", "statecomplexity", *argv, cwd=witness_files)
+    assert proc.returncode in (0, 3), proc.stderr
+    assert len(proc.stderr.splitlines()) <= 1, proc.stderr
+    if proc.returncode == 3:
+        assert proc.stderr.startswith("error: ") and proc.stdout == ""
 
 
 def test_missing_file_is_exit_2(capsys):
@@ -538,9 +656,6 @@ def test_measure_writes_the_golden_bytes(tmp_path, capsys, dfa_checks, name):
 
 
 def test_module_entry_point(tmp_path):
-    import subprocess
-    import sys
-
     proc = subprocess.run(
         [sys.executable, "-m", "statecomplexity", "witness", "gen", "regular", "3"],
         capture_output=True,

@@ -152,10 +152,49 @@ def test_unary_rows_have_no_m():
 
 
 def test_out_of_range_cells_are_skipped_with_notice(capsys):
-    rows = run_sweep(ids=["TID-PROD-U"], m_range=(3, 5), n_range=(5, 5))
-    captured = capsys.readouterr()
-    assert "skipping" in captured.err
-    assert [(r.m, r.n) for r in rows] == [(5, 5)]
+    # A binary range cut at the floor, a unary one (which ignores the m
+    # range, so only n is named) and ranges wholly below it.
+    cases = [
+        (
+            ["TID-PROD-U"], (3, 5), (5, 5), [(5, 5)],
+            ["notice: TID-PROD-U: skipping m<5 or n<5 (outside the witness range)"],
+        ),
+        (
+            ["TID-STAR"], (1, 2), (3, 6), [(None, 5), (None, 6)],
+            ["notice: TID-STAR: skipping n<5 (outside the witness range)"],
+        ),
+        (
+            ["TID-KAPPA", "TID-PROD-U"], None, (3, 4), [],
+            [
+                "notice: TID-KAPPA: skipping n<5 (outside the witness range)",
+                "notice: TID-KAPPA: requested range is entirely outside validity",
+                "notice: TID-PROD-U: skipping m<5 or n<5 (outside the witness range)",
+                "notice: TID-PROD-U: requested range is entirely outside validity",
+            ],
+        ),
+    ]
+    for ids, m_range, n_range, cells, notices in cases:
+        rows = run_sweep(ids=ids, m_range=m_range, n_range=n_range)
+        assert [(r.m, r.n) for r in rows] == cells
+        assert capsys.readouterr().err.splitlines() == notices
+
+
+@pytest.mark.parametrize(
+    "argument, kwargs",
+    [
+        ("n_range", {"n_range": (5, 3)}),
+        ("ids", {"ids": "REG-KAPPA"}),
+        ("ids", {"ids": ["REG-KAPPA", 1]}),
+        ("jobs", {"jobs": 0}),
+        ("jobs", {"jobs": 2.5}),
+        ("n_range", {"n_range": (3.0, 5)}),
+    ],
+    ids=["reversed-range", "ids-as-str", "int-id", "zero-jobs", "float-jobs", "float-range"],
+)
+def test_malformed_sweep_arguments_are_refused(capsys, argument, kwargs):
+    with pytest.raises(ValueError, match=f"^{argument} "):
+        run_sweep(**{"ids": ["REG-KAPPA"], **kwargs})
+    assert capsys.readouterr().err == ""
 
 
 def test_unknown_ids_raise():
@@ -181,14 +220,17 @@ def test_rows_sorted_and_independent_of_jobs():
     assert strip(serial) == sorted(strip(serial))
 
 
-def test_batches_of_uneven_size_give_the_serial_rows():
+def test_batches_of_uneven_size_give_the_serial_rows(monkeypatch):
     import statecomplexity.bounds as reg_mod
 
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    workers = 3  # min(--jobs 3, 35 cells, 3 CPUs)
     ids = ["REG-PROD-R", "REG-BOOL-R-INTER", "REG-KAPPA"]
     serial = run_sweep(ids=ids, m_range=(3, 5), n_range=(3, 7))
-    batch = -(-len(serial) // (reg_mod._BATCHES_PER_WORKER * 3))
+    batch = -(-len(serial) // (reg_mod._BATCHES_PER_WORKER * workers))
     assert len(serial) % batch  # 15 + 15 + 5 tasks: the last batch is a short one
-    assert strip(run_sweep(ids=ids, m_range=(3, 5), n_range=(3, 7), jobs=3)) == strip(serial)
+    rows = run_sweep(ids=ids, m_range=(3, 5), n_range=(3, 7), jobs=workers)
+    assert strip(rows) == strip(serial)
 
 
 class RecordingPool:
@@ -241,9 +283,12 @@ def loaded_in_a_fresh_process(script: str, modules: list[str]) -> list[str]:
 def test_a_serial_sweep_never_imports_the_process_pool():
     # The pool's module loads only when a sweep sends cells to it, so
     # importing the package and sweeping serially pay nothing for it.
+    # Any one-worker sweep is serial: --jobs 4 over one cell, or on one CPU.
     script = (
-        "import statecomplexity as s; s.registry_by_id();"
-        " s.run_sweep(ids=['REG-KAPPA'], n_range=(3, 3))"
+        "import os, statecomplexity as s; s.registry_by_id();"
+        " s.run_sweep(ids=['REG-KAPPA'], n_range=(3, 3));"
+        " s.run_sweep(ids=['REG-KAPPA'], n_range=(3, 3), jobs=4);"
+        " os.cpu_count = lambda: 1; s.run_sweep(ids=['REG-KAPPA'], n_range=(3, 5), jobs=4)"
     )
     assert loaded_in_a_fresh_process(script, ["concurrent.futures"]) == []
 
@@ -266,21 +311,29 @@ def test_pool_is_capped_at_the_number_of_batches(recording_pool, monkeypatch):
     assert strip(rows) == strip(serial)
 
 
-@pytest.mark.parametrize("cpus, workers", [(2, 2), (None, 1)])
+@pytest.mark.parametrize("cpus, workers", [(2, 2), (None, 1), (1, 1)])
 def test_pool_is_capped_at_the_number_of_cpus(recording_pool, monkeypatch, cpus, workers):
-    # --jobs 500 on the default grid makes more batches than workers can
-    # help with: a CPU-bound sweep asks for no more workers than there are
-    # CPUs (one when the count is unknown), not one per batch.
+    # A CPU-bound sweep asks for no more workers than there are CPUs (one
+    # when the count is unknown), however many jobs it is given, and sends
+    # each worker _BATCHES_PER_WORKER batches (not 426 one-cell batches).
+    # With one worker it makes no pool and runs serially.
+    import statecomplexity.bounds as reg_mod
+
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     rows = run_sweep(jobs=500)
-    (pool,) = recording_pool
-    assert pool.max_workers == workers
+    if workers == 1:
+        assert recording_pool == []
+    else:
+        (pool,) = recording_pool
+        assert pool.max_workers == workers
+        assert len(pool.batches) <= reg_mod._BATCHES_PER_WORKER * workers
     assert golden_columns(rows) == golden_within(DEFAULT_RANGES)
 
 
 def test_a_failing_cell_leaves_the_rest_of_its_batch_intact(recording_pool, monkeypatch):
     import statecomplexity.bounds as reg_mod
 
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
     serial = run_sweep(ids=["REG-KAPPA"], n_range=(3, 40))
     real = reg_mod.MEASURES["complexity"]
 
@@ -453,3 +506,25 @@ def test_construction_failures_become_failed_rows(monkeypatch):
     )
     row = reg_mod.evaluate_cell(entry, None, 3)
     assert not row.match and row.measured == -1 and "boom" in row.error
+
+
+@pytest.mark.parametrize("fails", ["measure", "bound"])
+def test_a_failing_cell_evaluates_its_bound_once(monkeypatch, fails):
+    import statecomplexity.bounds as reg_mod
+
+    calls = []
+    real = reg_mod.BoundEntry.expected
+
+    def counted(entry, m, n):
+        calls.append((m, n))
+        if fails == "bound":
+            raise ValueError("no bound")
+        return real(entry, m, n)
+
+    monkeypatch.setattr(reg_mod.BoundEntry, "expected", counted)
+    monkeypatch.setitem(
+        reg_mod.MEASURES, "complexity", lambda d: (_ for _ in ()).throw(RuntimeError("boom"))
+    )
+    row = reg_mod.evaluate_cell(registry_by_id()["REG-KAPPA"], None, 3)
+    assert calls == [(None, 3)]
+    assert (row.expected, row.measured, row.match) == (3 if fails == "measure" else -1, -1, False)

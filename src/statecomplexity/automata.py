@@ -9,7 +9,8 @@ it enters the library: by `Dfa(...)` in user code or by `parse_dfa`.
 Everything the library derives from checked parts is built unchecked, by
 `_unchecked_dfa`. `minimize` caches its result on the instance, in a
 private `__dict__` slot that is not a dataclass field, so equality,
-hashing and `repr` never see it.
+hashing and `repr` never see it; walks whose reads share one refinement
+index hand it to `nerode_classes` the same way.
 """
 
 from __future__ import annotations
@@ -26,9 +27,12 @@ MAX_SUBSET_BITS = 1 << 32
 
 # Private `__dict__` slots of a Dfa. `_MINIMAL` holds `minimize`'s result,
 # or True when that is the Dfa itself; `_WALK` marks a `_walk_dfa`
-# result, which is accessible and numbered as `minimize` numbers.
+# result, which is accessible and numbered as `minimize` numbers;
+# `_PREIMAGES` holds `_preimage_lists` of its delta, built once for
+# every DFA that shares that delta, until `nerode_classes` reads it.
 _MINIMAL = "_minimal"
 _WALK = "_walk"
+_PREIMAGES = "_preimages"
 
 
 class CapacityError(RuntimeError):
@@ -296,6 +300,27 @@ def preimage_masks(rows: Sequence[Sequence[int]]) -> list[list[int]]:
     return masks
 
 
+def _preimage_lists(delta: Sequence[Sequence[int]], states: Sequence[int]) -> list[list]:
+    """Per letter, entry q lists the preimages of q among `states`, in that order.
+
+    Most states have at most one preimage on a letter: those with none
+    share (), and each list starts at its exact size. `nerode_classes`
+    reads the lists and never changes them, and its partition does not
+    depend on their order, so one build can serve every DFA over `delta`.
+    """
+    preimages = []
+    for row in delta:
+        pre: list = [()] * len(row)
+        for p in states:
+            q = row[p]
+            if pre[q]:
+                pre[q].append(p)
+            else:
+                pre[q] = [p]
+        preimages.append(pre)
+    return preimages
+
+
 def nerode_classes(d: Dfa) -> list[int]:
     """Entry q is the number of the class of states with q's language.
 
@@ -308,8 +333,11 @@ def nerode_classes(d: Dfa) -> list[int]:
     class, the smaller of the two finality classes, a state joins a
     pending class only in the smaller part of a split, so its preimages
     are scanned O(log n) times: O(k·n·log n) for k letters. Classes are
-    numbered 0..count-1.
+    numbered 0..count-1. The preimage lists come from the `_PREIMAGES`
+    slot of `d` when it holds them, and are built here otherwise; the
+    slot is emptied, so no DFA keeps its lists past its refinement.
     """
+    preimages = d.__dict__.pop(_PREIMAGES, None)
     n = d.state_count
     block = [0] * n
     split = n - len(d.finals)
@@ -326,18 +354,8 @@ def nerode_classes(d: Dfa) -> list[int]:
     for i, q in enumerate(elems):
         loc[q] = i
     pending = [0 if split <= n - split else 1]  # the smaller class
-    preimages = []
-    for row in d.delta:
-        # Most states have at most one preimage on a letter: those with
-        # none share (), and each list starts at its exact size.
-        pre: list = [()] * n
-        for p in elems:
-            q = row[p]
-            if pre[q]:
-                pre[q].append(p)
-            else:
-                pre[q] = [p]
-        preimages.append(pre)
+    if preimages is None:
+        preimages = _preimage_lists(d.delta, elems)
     while pending:
         b = pending.pop()
         splitter = elems[first[b] : end[b]]
@@ -478,7 +496,13 @@ def _trim_minimal(m: Dfa) -> Dfa:
     for row in m.delta:
         fixed = [q for q in fixed if row[q] == q]
     dead = next((q for q in fixed if q not in m.finals), None)
-    useful = [a for a, row in zip(m.alphabet, m.delta) if any(q != dead for q in row)]
+    # A row is useless iff it sends every state to the dead one: its first
+    # entry settles most rows, and a C-level count the rest.
+    useful = [
+        a
+        for a, row in zip(m.alphabet, m.delta)
+        if row[0] != dead or row.count(dead) != len(row)
+    ]
     if len(useful) == len(m.alphabet):
         return m
     trimmed = _quotient(restrict_alphabet(m, useful), list(range(m.state_count)), m.state_count)

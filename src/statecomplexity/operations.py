@@ -8,13 +8,16 @@ part of the subset, which stands for its empty quotient, so complement
 always means complement with respect to the universe the walk reads.
 Product and the ten boolean operations are one walk of both operands
 side by side (`_walk_pair`), product's linking the left finals to the
-right initial state, read by one truth-table reader (`_read`). Star,
-complement and reversal walk one operand with `determinize`; reversal
-walks preimages. Every result is minimal, trimmed to the alphabet of
-the result language, and reported with its quotient complexity. Each
-walk is minimized after it, except reversal's: its operand is minimized
-first, and the preimage walk of a minimal DFA is minimal by
-Brzozowski's theorem, so it is not refined.
+right initial state, read by one truth-table reader (`_read`). The last
+pair's boolean walk is kept with a memo of its reads: each truth table
+is refined once, its complement reuses that refinement with the finals
+flipped, and from the walk's second read on its refinements share one
+preimage index. Star, complement and reversal walk one operand with
+`determinize`; reversal walks preimages. Every result is minimal,
+trimmed to the alphabet of the result language, and reported with its
+quotient complexity. Each walk is minimized after it, except
+reversal's: its operand is minimized first, and the preimage walk of a
+minimal DFA is minimal by Brzozowski's theorem, so it is not refined.
 
 Two languages are equal iff `trim_alphabet` gives the same DFA for both
 over the same letter order (minimize is canonical).
@@ -25,10 +28,15 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from enum import Enum
+from itertools import compress
 
 from .automata import (
+    _MINIMAL,
+    _PREIMAGES,
     Dfa,
+    _preimage_lists,
     _trim_minimal,
+    _unchecked_dfa,
     _walk_dfa,
     bits,
     determinize,
@@ -71,7 +79,12 @@ class OpResult:
     kappa: int
 
 
-_PairWalk = tuple[tuple[str, ...], list[int], tuple[tuple[int, ...], ...], int, int]
+# A pair walk: its alphabet, subsets and rows, the masks of the left and
+# right final states, and the memo its reads share (see `_read`), which
+# lives and dies with the walk.
+_PairWalk = tuple[tuple[str, ...], list[int], tuple[tuple[int, ...], ...], int, int, dict]
+# The memo key of a walk's refinement index; every other key is a truth table.
+_INDEX = "index"
 
 
 def _finish(d: Dfa) -> OpResult:
@@ -101,8 +114,8 @@ def _walk_pair(lhs: Dfa, rhs: Dfa, link: bool) -> _PairWalk:
     Unlinked, it is the direct product of the operands completed by their
     empty quotients. Linked (product), entering a left final state, the
     start included, is what enters the right initial state.
-    Returns the alphabet, the subsets, the rows and the masks of the left
-    and right final states.
+    Returns the alphabet, the subsets, the rows, the masks of the left
+    and right final states, and an empty memo for the walk's reads.
     """
     lhs = minimize(lhs)
     rhs = minimize(rhs)
@@ -114,10 +127,11 @@ def _walk_pair(lhs: Dfa, rhs: Dfa, link: bool) -> _PairWalk:
     start = 1 << lhs.initial | (enter_rhs if not link or lhs.initial in lhs.finals else 0)
     keys, rows = subset_walk((start,), masks)
     right_finals = bits(offset + f for f in rhs.finals)
-    return combined, keys, tuple(map(tuple, rows)), bits(lhs.finals), right_finals
+    return combined, keys, tuple(map(tuple, rows)), bits(lhs.finals), right_finals, {}
 
 
-# Only the last pair's unlinked walk is kept: a sweep runs each pair's cells back to back.
+# Only the last pair's unlinked walk is kept, and its memo with it: a sweep
+# runs each pair's cells back to back.
 @functools.lru_cache(maxsize=1)
 def _pair_walk(lhs: Dfa, rhs: Dfa) -> _PairWalk:
     """The unlinked walk of (lhs, rhs), which every boolean operation reads."""
@@ -129,12 +143,44 @@ def _read(walk: _PairWalk, table: tuple[bool, bool, bool, bool]) -> OpResult:
 
     `table` is a truth table (TT, TF, FT, FF): whether a subset is final
     given whether it holds a left final state and a right final state.
+    The walk's memo keeps each table's DFA and result, so a table read
+    again returns the same result. Complementary tables have
+    the same Nerode partition, and `minimize` numbers classes by the
+    partition, the initial state and delta alone, so the complement of a
+    table read before is its minimal DFA with the finals flipped, not
+    refined again. A walk's first read refines as any walk does; a later
+    refinement reads the walk's index, built once: its preimage lists,
+    and the four colour classes of its subsets (which operands' finals a
+    subset holds), whose union is the finals.
     """
-    combined, keys, rows, left_finals, right_finals = walk
-    finals = frozenset(
-        i for i, s in enumerate(keys) if table[(not s & left_finals) << 1 | (not s & right_finals)]
-    )
-    return _finish(_walk_dfa(len(keys), combined, rows, finals))
+    combined, keys, rows, left_finals, right_finals, memo = walk
+    known = memo.get(table)
+    if known is None:
+        twin = memo.get(tuple(not accepted for accepted in table))
+        if twin is not None:
+            m = minimize(twin[0])
+            flipped = frozenset(range(m.state_count)) - m.finals
+            d = _unchecked_dfa(m.state_count, m.alphabet, m.delta, m.initial, flipped)
+            d.__dict__[_MINIMAL] = True
+        elif not memo:  # the walk's first read
+            finals = frozenset(
+                i
+                for i, s in enumerate(keys)
+                if table[(not s & left_finals) << 1 | (not s & right_finals)]
+            )
+            d = _walk_dfa(len(keys), combined, rows, finals)
+        else:
+            if _INDEX not in memo:
+                states = list(range(len(keys)))  # one int per state, shared by the index
+                colours: list[list[int]] = [[], [], [], []]
+                for i, s in zip(states, keys):
+                    colours[(not s & left_finals) << 1 | (not s & right_finals)].append(i)
+                memo[_INDEX] = _preimage_lists(rows, states), colours
+            preimages, colours = memo[_INDEX]
+            d = _walk_dfa(len(keys), combined, rows, frozenset().union(*compress(colours, table)))
+            d.__dict__[_PREIMAGES] = preimages
+        known = memo[table] = d, _finish(d)
+    return known[1]
 
 
 def product(lhs: Dfa, rhs: Dfa) -> OpResult:
@@ -146,8 +192,10 @@ def boolean(op: BooleanOp, lhs: Dfa, rhs: Dfa) -> OpResult:
     """Any of the ten proper boolean operations over the union alphabet.
 
     Every operation on a pair reads the pair's unlinked walk, with its
-    own truth table; the walk of the last pair is kept, so the operations
-    of one pair called back to back walk it once.
+    own truth table; the walk of the last pair is kept with a memo of its
+    reads, so the operations of one pair called back to back walk it
+    once, refine it once per complementary pair of operations, and an
+    operation called again returns its first result (see `_read`).
     """
     return _read(_pair_walk(lhs, rhs), op.value)
 

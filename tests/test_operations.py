@@ -4,12 +4,15 @@ import random
 from dataclasses import replace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from statecomplexity import (
     BooleanOp,
     Dfa,
     WitnessClass,
     apply_dialect,
+    automata,
     boolean,
     build_left_ideal,
     build_regular,
@@ -167,12 +170,12 @@ def test_boolean_acceptance_reads_the_truth_table(monkeypatch, op):
     letter, so a^s is in the result iff subset s is final.
     """
     lhs, rhs = minimize(fig_ends_in_b()), minimize(fig_ends_in_c())
-    *_, left, right = operations._walk_pair(lhs, rhs, link=op == "product")
+    *_, left, right, _ = operations._walk_pair(lhs, rhs, link=op == "product")
     assert left == bits(lhs.finals)
     assert right == bits(lhs.state_count + f for f in rhs.finals)
     size = 1 << (lhs.state_count + rhs.state_count)
     chain = (tuple(min(s + 1, size - 1) for s in range(size)),)
-    walk = (("a",), list(range(size)), chain, left, right)
+    walk = (("a",), list(range(size)), chain, left, right, {})
     if op == "product":
 
         def linked_walk(lhs, rhs, link):
@@ -192,11 +195,14 @@ def test_boolean_acceptance_reads_the_truth_table(monkeypatch, op):
 
 def test_operations_on_a_pair_share_its_walk_and_nothing_else():
     # The ten operations on a pair walk it once, and a product of the pair
-    # called between them neither walks it nor evicts it. Each result,
-    # whether its walk was kept from the call before or not, equals the
-    # one computed from an empty cache, also when the pairs interleave and
-    # when an operand is rebuilt equal to, but not the same object as, the
-    # last.
+    # called between them neither walks it nor evicts it. The kept walk's
+    # memo is all the operations share: an operation called again returns
+    # its first result, the complement of an operation read before flips
+    # that operation's minimal DFA, and later refinements share one
+    # preimage index. Each result, whether its walk and memo were kept
+    # from the call before or not, equals the one computed from an empty
+    # cache, also when the pairs interleave and when an operand is rebuilt
+    # equal to, but not the same object as, the last.
     rng = random.Random(29)
     a, b, c, d = (random_dfa(rng, max_states=5, letters="abc") for _ in range(4))
     operations._pair_walk.cache_clear()
@@ -212,6 +218,107 @@ def test_operations_on_a_pair_share_its_walk_and_nothing_else():
             shared = boolean(op, lhs, rhs)
             operations._pair_walk.cache_clear()
             assert boolean(op, lhs, rhs) == shared, (op, lhs, rhs)
+
+
+# Each operation whose table rejects FF, with its complement.
+COMPLEMENTARY_OPS = [
+    (op, BooleanOp(tuple(not accepted for accepted in op.value)))
+    for op in TEN_OPS
+    if not op.value[3]
+]
+
+
+@pytest.mark.parametrize("order", [TEN_OPS, TEN_OPS[::-1]], ids=["registry", "reversed"])
+def test_ten_operations_on_a_pair_refine_it_five_times_over_one_index(monkeypatch, order):
+    # One refinement per complementary pair of operations, whichever of
+    # the two comes first, and none for an operation called again. The
+    # first read refines with its own preimage lists; the other four
+    # refinements read one set of lists, built once.
+    lhs, rhs = minimize(reg(5, "a,b,c")), minimize(reg(4, "b,c,d"))
+    refined = []  # the preimage lists each refinement was handed, or None
+    real = automata.nerode_classes
+
+    def record(d):
+        refined.append(d.__dict__.get(automata._PREIMAGES))
+        return real(d)
+
+    built = []
+    real_lists = operations._preimage_lists
+
+    def build(*args):
+        built.append(args)
+        return real_lists(*args)
+
+    monkeypatch.setattr(automata, "nerode_classes", record)
+    monkeypatch.setattr(operations, "_preimage_lists", build)
+    operations._pair_walk.cache_clear()
+    results = [boolean(op, lhs, rhs) for op in order]
+    assert len(refined) == 5 and len(built) == 1
+    assert refined[0] is None and refined[1] is not None
+    assert all(lists is refined[1] for lists in refined[1:])
+    assert all(automata._PREIMAGES not in r.dfa.__dict__ for r in results)
+    again = [boolean(op, lhs, rhs) for op in order]
+    assert all(result is first for result, first in zip(again, results))
+    assert len(refined) == 5 and len(built) == 1
+    assert operations._pair_walk.cache_info().misses == 1
+
+
+@st.composite
+def dfas(draw):
+    """A complete DFA of 1..5 states over a subset of {a, b, c}."""
+    alphabet = tuple(sorted(draw(st.sets(st.sampled_from("abc")))))
+    n = draw(st.integers(1, 5))
+    states = st.integers(0, n - 1)
+    delta = tuple(draw(st.tuples(*[states] * n)) for _ in alphabet)
+    return Dfa(n, alphabet, delta, draw(states), frozenset(draw(st.sets(states))))
+
+
+@given(
+    dfas(),
+    dfas(),
+    st.lists(st.sampled_from(TEN_OPS), max_size=3),
+    st.sampled_from(COMPLEMENTARY_OPS),
+    st.booleans(),
+)
+def test_a_complement_read_after_its_base_equals_it_from_an_empty_cache(
+    lhs, rhs, before, pair, swap
+):
+    # The walk is read by up to three operations first, so the base may be
+    # refined over the walk's shared preimage index; its complement then
+    # flips the base's minimal DFA. Every result equals the one computed
+    # from an empty cache, the DFA included, and is marked minimal.
+    base, other = pair[::-1] if swap else pair
+    operations._pair_walk.cache_clear()
+    shared = [boolean(op, lhs, rhs) for op in [*before, base, other]]
+    for op, result in zip([*before, base, other], shared):
+        operations._pair_walk.cache_clear()
+        assert boolean(op, lhs, rhs) == result, op
+        assert minimize(result.dfa) is result.dfa
+
+
+@given(dfas(), dfas(), st.sampled_from(TEN_OPS))
+def test_shared_preimage_lists_give_the_same_partition(lhs, rhs, op):
+    # The walk's preimage lists are built once, in state order, not in the
+    # finality order `nerode_classes` builds its own in, and read by every
+    # refinement of the walk; the partition and the minimal DFA are the
+    # same, and the refinement takes the lists off the DFA.
+    combined, keys, rows, left, right, _ = operations._walk_pair(lhs, rhs, link=False)
+    finals = frozenset(
+        i for i, s in enumerate(keys) if op.value[(not s & left) << 1 | (not s & right)]
+    )
+    lists = automata._preimage_lists(rows, range(len(keys)))
+
+    def walk_dfa(preimages):
+        d = automata._walk_dfa(len(keys), combined, rows, finals)
+        if preimages is not None:
+            d.__dict__[automata._PREIMAGES] = preimages
+        return d
+
+    shared = walk_dfa(lists)
+    a, b = automata.nerode_classes(walk_dfa(None)), automata.nerode_classes(shared)
+    assert len(set(zip(a, b))) == len(set(a)) == len(set(b))
+    assert automata._PREIMAGES not in shared.__dict__
+    assert minimize(walk_dfa(None)) == minimize(walk_dfa(lists))
 
 
 def test_boolean_symmetry(rng):

@@ -15,6 +15,7 @@ from statecomplexity import (
     WitnessClass,
     WitnessRecipe,
     all_match,
+    automata,
     emit_report,
     operations,
     registry,
@@ -443,6 +444,28 @@ def test_a_sweep_walks_each_boolean_operand_pair_once(span, walks, cells):
     rows = run_sweep(m_range=span, n_range=span)
     assert boolean_cells(rows) == cells
     assert operations._pair_walk.cache_info().misses == walks
+
+
+def test_a_warm_sweep_refines_each_complementary_pair_of_boolean_cells_once(monkeypatch):
+    # Once the witnesses are minimal, a sweep refines only its results.
+    # The boolean cells of a pair refine its walk once per complementary
+    # pair of operations, and an operation that two ids read on the same
+    # pair (REG-BOOL-R-INTER and REG-BOOL-U-INTER-MIN) once: 318
+    # refinements, against 376 when each boolean cell refined its own
+    # read. Still one walk per pair.
+    run_sweep()
+    refined = []
+    real = automata.nerode_classes
+
+    def record(d):
+        refined.append(d)
+        return real(d)
+
+    monkeypatch.setattr(automata, "nerode_classes", record)
+    operations._pair_walk.cache_clear()
+    assert golden_columns(run_sweep()) == golden_within(DEFAULT_RANGES)
+    assert len(refined) == 318
+    assert operations._pair_walk.cache_info().misses == 91
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Iterator
 from functools import cache
-from typing import Iterator
 
 from .automata import CapacityError, Dfa, bits, components, subset_walk, trim_alphabet
 

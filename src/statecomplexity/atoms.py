@@ -16,7 +16,7 @@ a walk is already minimal.
 
 from __future__ import annotations
 
-from typing import Iterable
+from collections.abc import Iterable
 
 from . import automata
 from .automata import (

@@ -8,15 +8,14 @@ letters. No function changes a DFA's value. A DFA is checked once, where
 it enters the library: by `Dfa(...)` in user code or by `parse_dfa`.
 Everything the library derives from checked parts is built unchecked, by
 `_unchecked_dfa`. `minimize` caches its result on the instance, in a
-private `__dict__` slot that is not a dataclass field, so equality,
-hashing and `repr` never see it; walks whose reads share one refinement
+private `__dict__` slot outside the five fields, so equality, hashing
+and `repr` never see it; walks whose reads share one refinement
 index hand it to `nerode_classes` the same way.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 
 # Hard cap on subset-construction growth; desk-scale sweeps stay far below.
 MAX_SUBSET_STATES = 1 << 20
@@ -55,7 +54,6 @@ def union_alphabets(first: Iterable[str], second: Iterable[str]) -> tuple[str, .
     return tuple(sorted(set(first) | set(second)))
 
 
-@dataclass(frozen=True)
 class Dfa:
     """Complete deterministic automaton over an ordered alphabet.
 
@@ -64,15 +62,23 @@ class Dfa:
     completeness is structural rather than checked per word. This
     constructor checks every field, and with `parse_dfa` it is the only
     check: the library builds every other DFA with `_unchecked_dfa`.
+    A Dfa is immutable and equals only a Dfa with the same five fields.
     """
 
-    state_count: int
-    alphabet: tuple[str, ...]
-    delta: tuple[tuple[int, ...], ...]
-    initial: int
-    finals: frozenset[int]
+    def __init__(
+        self,
+        state_count: int,
+        alphabet: tuple[str, ...],
+        delta: tuple[tuple[int, ...], ...],
+        initial: int,
+        finals: frozenset[int],
+    ) -> None:
+        self.__dict__.update(
+            state_count=state_count, alphabet=alphabet, delta=delta, initial=initial, finals=finals
+        )
+        self._check()
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         n = self.state_count
         if type(n) is not int or n <= 0:
             raise ValueError(f"state count {n!r} is not a positive int")
@@ -95,6 +101,30 @@ class Dfa:
             raise ValueError(f"initial state {self.initial!r} out of range")
         if not all(type(q) is int and 0 <= q < n for q in self.finals):
             raise ValueError("final states out of range")
+
+    def _key(self) -> tuple:
+        return (self.state_count, self.alphabet, self.delta, self.initial, self.finals)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__qualname__}(state_count={self.state_count!r},"
+            f" alphabet={self.alphabet!r}, delta={self.delta!r},"
+            f" initial={self.initial!r}, finals={self.finals!r})"
+        )
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def transformation(self, letter: str) -> tuple[int, ...]:
         """The row of `letter`: entry q is the image of state q."""
@@ -219,7 +249,7 @@ def _unchecked_dfa(
     initial: int,
     finals: frozenset[int],
 ) -> Dfa:
-    """A Dfa built without running `Dfa.__post_init__`.
+    """A Dfa built without running `Dfa._check`.
 
     The rule for every caller: each field comes from a checked DFA, a
     checked alphabet or a checked int, or is numbered by the caller
@@ -333,7 +363,9 @@ def nerode_classes(d: Dfa) -> list[int]:
     class, the smaller of the two finality classes, a state joins a
     pending class only in the smaller part of a split, so its preimages
     are scanned O(log n) times: O(k·n·log n) for k letters. Classes are
-    numbered 0..count-1. The preimage lists come from the `_PREIMAGES`
+    numbered 0..count-1. Once every state is its own class no splitter
+    can split anything, so the refinement stops there, pending classes
+    left unscanned. The preimage lists come from the `_PREIMAGES`
     slot of `d` when it holds them, and are built here otherwise; the
     slot is emptied, so no DFA keeps its lists past its refinement.
     """
@@ -356,7 +388,7 @@ def nerode_classes(d: Dfa) -> list[int]:
     pending = [0 if split <= n - split else 1]  # the smaller class
     if preimages is None:
         preimages = _preimage_lists(d.delta, elems)
-    while pending:
+    while pending and len(first) < n:
         b = pending.pop()
         splitter = elems[first[b] : end[b]]
         for pre in preimages:

@@ -10,16 +10,14 @@ exactly as documented even where measurement disagrees.
 
 from __future__ import annotations
 
-import ast
 import functools
 import os
-import re
 import sys
 import time
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable, Mapping
 from math import comb
 from types import CodeType, MappingProxyType
-from typing import Iterable, Mapping, Optional
 
 from .algebra import syntactic_semigroup_size
 from .atoms import _profile, atom_complexities, atoms
@@ -54,12 +52,13 @@ MEASURES = {
     "atom-count": lambda d: len(atoms(trim_alphabet(d))),
 }
 
-@dataclass(frozen=True)
-class WitnessRecipe:
-    """A witness class plus the dialect that renames or drops its letters."""
+class WitnessRecipe(namedtuple("WitnessRecipe", "witness dialect", defaults=("",))):
+    """A witness class plus the dialect that renames or drops its letters.
 
-    witness: WitnessClass
-    dialect: str = ""  # empty string keeps the full canonical alphabet
+    The empty dialect, the default, keeps the full canonical alphabet.
+    """
+
+    __slots__ = ()
 
     @functools.lru_cache(maxsize=None, typed=True)  # typed: build(4.0) misses, so it is refused
     def build(self, n: int) -> Dfa:
@@ -73,14 +72,6 @@ class WitnessRecipe:
         return f"{self.witness.value}({inner})"
 
 
-def _in_grammar(node: ast.AST) -> bool:
-    if isinstance(node, ast.Name):
-        return node.id in ("m", "n")
-    if isinstance(node, ast.Constant):
-        return type(node.value) is int
-    return isinstance(node, (ast.Expression, ast.BinOp, ast.Add, ast.Sub, ast.Mult, ast.Pow, ast.Load))
-
-
 @functools.cache
 def _compile_formula(text: str) -> CodeType:
     """Bytecode of a formula text in integer literals, m, n, + - * ^ and parentheses.
@@ -90,31 +81,41 @@ def _compile_formula(text: str) -> CodeType:
     raises ValueError, so evaluating the bytecode only does integer
     arithmetic on m and n.
     """
+    import ast  # only here: importing the package leaves the parser unloaded
+    import re
+
+    def in_grammar(node: ast.AST) -> bool:
+        if isinstance(node, ast.Name):
+            return node.id in ("m", "n")
+        if isinstance(node, ast.Constant):
+            return type(node.value) is int
+        return isinstance(
+            node, (ast.Expression, ast.BinOp, ast.Add, ast.Sub, ast.Mult, ast.Pow, ast.Load)
+        )
+
     source = re.sub(r"(?<=\d)(?=[mn(])", "*", text.replace("^", "**"))
     try:
         tree = ast.parse(source, mode="eval")
     except SyntaxError:
         tree = None
-    if tree is None or not all(_in_grammar(node) for node in ast.walk(tree)):
+    if tree is None or not all(in_grammar(node) for node in ast.walk(tree)):
         raise ValueError(f"not a closed form in m and n: {text!r}")
     return compile(tree, text, "eval")
 
 
-@dataclass(frozen=True)
-class BoundEntry:
-    """One verifiable bound: recipes, operation, and the formula text that states it."""
+class BoundEntry(namedtuple("BoundEntry", "entry_id operation lhs rhs formula_text")):
+    """One verifiable bound: recipes, operation, and the formula text that states it.
 
-    entry_id: str
-    operation: str
-    lhs: WitnessRecipe
-    rhs: Optional[WitnessRecipe]
-    formula_text: str  # in m and n; unary entries never mention m
+    `rhs` is None for unary entries, and their formula text never mentions m.
+    """
+
+    __slots__ = ()
 
     @property
     def is_binary(self) -> bool:
         return self.rhs is not None
 
-    def expected(self, m: Optional[int], n: int) -> int:
+    def expected(self, m: int | None, n: int) -> int:
         """The formula text at (m, n); m is ignored by unary entries.
 
         A cell below the witness floor or of a non-int size raises
@@ -128,16 +129,16 @@ class BoundEntry:
         return eval(_compile_formula(self.formula_text), {"__builtins__": {}}, {"m": m, "n": n})
 
 
-@dataclass(frozen=True)
-class VerificationRow:
-    entry_id: str
-    m: Optional[int]  # None for unary entries
-    n: int
-    expected: int
-    measured: int
-    match: bool
-    elapsed_ms: float
-    error: str = ""
+class VerificationRow(
+    namedtuple(
+        "VerificationRow",
+        "entry_id m n expected measured match elapsed_ms error",
+        defaults=("",),
+    )
+):
+    """One evaluated cell; `m` is None for unary entries, `error` empty unless it failed."""
+
+    __slots__ = ()
 
 
 _DEFAULT_RANGE = {
@@ -357,7 +358,7 @@ def _check_atoms(entry: BoundEntry, n: int) -> tuple[int, int]:
     return len(counts.keys() | named.keys()), passed
 
 
-def evaluate_cell(entry: BoundEntry, m: Optional[int], n: int) -> VerificationRow:
+def evaluate_cell(entry: BoundEntry, m: int | None, n: int) -> VerificationRow:
     """Build the witnesses, run the operation, and compare against the bound."""
     start = time.perf_counter()
     expected = measured = -1  # a failed cell keeps the expected value it got to
@@ -395,16 +396,16 @@ def evaluate_cell(entry: BoundEntry, m: Optional[int], n: int) -> VerificationRo
 _BATCHES_PER_WORKER = 8
 
 
-def _evaluate_by_id(task: tuple[str, Optional[int], int]) -> VerificationRow:
+def _evaluate_by_id(task: tuple[str, int | None, int]) -> VerificationRow:
     entry_id, m, n = task
     return evaluate_cell(registry_by_id()[entry_id], m, n)
 
 
 def _cells_for(
     entry: BoundEntry,
-    m_range: Optional[tuple[int, int]],
-    n_range: Optional[tuple[int, int]],
-) -> tuple[list[tuple[str, Optional[int], int]], list[str]]:
+    m_range: tuple[int, int] | None,
+    n_range: tuple[int, int] | None,
+) -> tuple[list[tuple[str, int | None, int]], list[str]]:
     floor = entry.lhs.witness.min_n
     spans = {"n": n_range or _DEFAULT_RANGE[entry.lhs.witness]}
     if entry.is_binary:  # a unary entry is the binary case whose one m is None
@@ -420,7 +421,7 @@ def _cells_for(
     return cells, notices
 
 
-def _check_range(name: str, span: Optional[tuple[int, int]]) -> None:
+def _check_range(name: str, span: tuple[int, int] | None) -> None:
     if span is not None and not (
         isinstance(span, tuple)
         and len(span) == 2
@@ -431,9 +432,9 @@ def _check_range(name: str, span: Optional[tuple[int, int]]) -> None:
 
 
 def run_sweep(
-    ids: Optional[list[str]] = None,
-    m_range: Optional[tuple[int, int]] = None,
-    n_range: Optional[tuple[int, int]] = None,
+    ids: list[str] | None = None,
+    m_range: tuple[int, int] | None = None,
+    n_range: tuple[int, int] | None = None,
     jobs: int = 1,
 ) -> list[VerificationRow]:
     """Evaluate the selected entries over the grid; rows sorted by (id, m, n).
@@ -467,7 +468,7 @@ def run_sweep(
         if repeated:
             raise ValueError(f"repeated registry ids: {', '.join(repeated)}")
         selected = [table[i] for i in ids]
-    tasks: list[tuple[str, Optional[int], int]] = []
+    tasks: list[tuple[str, int | None, int]] = []
     for entry in selected:
         cells, notices = _cells_for(entry, m_range, n_range)
         for notice in notices:
@@ -476,7 +477,7 @@ def run_sweep(
     # Binary cells that read the same operands at the same (m, n) run back
     # to back, in the place of the first of them, so the boolean ones share
     # one walk (`operations._pair_walk`); every unary cell keeps its place.
-    groups: dict[tuple, list[tuple[str, Optional[int], int]]] = {}
+    groups: dict[tuple, list[tuple[str, int | None, int]]] = {}
     for task in tasks:
         entry = table[task[0]]
         key = (entry.lhs, entry.rhs, *task[1:]) if entry.is_binary else task

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Optional
 
 from .atoms import atom_complexities
 from .automata import CapacityError, Dfa, quotient_complexity_of_state, trim_alphabet
@@ -51,7 +50,7 @@ def _load_dfa(path: str) -> Dfa:
         return parse_dfa(handle.read())
 
 
-def _write_text(path: Optional[str], text: str) -> None:
+def _write_text(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
@@ -197,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -30,12 +30,15 @@ class DfaParseError(ValueError):
 
 
 def render_dfa(d: Dfa) -> str:
+    # Every state's decimal name, made once when there are rows to join,
+    # which are as long as the table: a bare huge state count makes none.
+    name = list(map(str, range(d.state_count))).__getitem__ if d.delta else str
     lines = [f"states {d.state_count}"]
     lines.append(("alphabet " + " ".join(d.alphabet)).rstrip())
     lines.append(f"initial {d.initial}")
-    lines.append(("final " + " ".join(str(q) for q in sorted(d.finals))).rstrip())
+    lines.append(("final " + " ".join(map(name, sorted(d.finals)))).rstrip())
     for letter, row in zip(d.alphabet, d.delta):
-        lines.append(f"row {letter} " + " ".join(map(str, row)))
+        lines.append(f"row {letter} " + " ".join(map(name, row)))
     return "\n".join(lines) + "\n"
 
 

@@ -26,7 +26,7 @@ over the same letter order (minimize is canonical).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
 from itertools import compress
 
@@ -71,12 +71,10 @@ class BooleanOp(Enum):
     NAND = (False, True, True, True)
 
 
-@dataclass(frozen=True)
-class OpResult:
+class OpResult(namedtuple("OpResult", "dfa kappa")):
     """A minimal trimmed result DFA together with its quotient complexity."""
 
-    dfa: Dfa
-    kappa: int
+    __slots__ = ()
 
 
 # A pair walk: its alphabet, subsets and rows, the masks of the left and

@@ -9,9 +9,9 @@ drop the rest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable
 from enum import Enum
-from typing import Iterable, Optional
 
 from .automata import Dfa, _unchecked_dfa, make_alphabet
 
@@ -29,7 +29,7 @@ def _cycle(n: int, points: Iterable[int]) -> tuple[int, ...]:
     return tuple(images)
 
 
-def _constant(n: int, target: int, domain: Optional[Iterable[int]] = None) -> tuple[int, ...]:
+def _constant(n: int, target: int, domain: Iterable[int] | None = None) -> tuple[int, ...]:
     """Send every state of `domain` (default: all states) to `target`."""
     images = list(range(n))
     for q in range(n) if domain is None else domain:
@@ -116,26 +116,25 @@ build_left_ideal = WitnessClass.LEFT_IDEAL.build
 build_two_sided_ideal = WitnessClass.TWO_SIDED_IDEAL.build
 
 
-@dataclass(frozen=True)
-class DialectSpec:
+class DialectSpec(namedtuple("DialectSpec", "targets")):
     """Partial permutation of a witness alphabet, aligned entry by entry.
 
-    Entry i gives the new name of letter i of the canonical alphabet, or
-    None when that letter (and its transformation) is dropped.
-    Defined targets must be pairwise distinct.
+    `targets` is a tuple whose entry i gives the new name of letter i of
+    the canonical alphabet, or None when that letter (and its
+    transformation) is dropped. Defined targets must be pairwise distinct.
     """
 
-    targets: tuple[Optional[str], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        defined = [t for t in self.targets if t is not None]
-        make_alphabet(defined)
+    def __new__(cls, targets: tuple[str | None, ...]) -> DialectSpec:
+        make_alphabet([t for t in targets if t is not None])
+        return super().__new__(cls, targets)
 
 
 def parse_dialect(text: str) -> DialectSpec:
     """Parse a comma-separated dialect such as "a,b,-,c"."""
     tokens = [tok.strip() for tok in text.split(",")]
-    targets: list[Optional[str]] = []
+    targets: list[str | None] = []
     for tok in tokens:
         if tok == "-":
             targets.append(None)

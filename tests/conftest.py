@@ -5,7 +5,6 @@ from __future__ import annotations
 import random
 import sys
 from collections import deque
-from dataclasses import replace
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -421,7 +420,8 @@ def complete_over(d: Dfa, alphabet: Iterable[str]) -> Dfa:
         if target == d.alphabet:
             return d
         # Same letters, different order: just realign the rows.
-        return replace(d, alphabet=target, delta=tuple(d.transformation(a) for a in target))
+        rows = tuple(d.transformation(a) for a in target)
+        return Dfa(d.state_count, target, rows, d.initial, d.finals)
     n = d.state_count
     sink = n
     rows = []
@@ -534,16 +534,16 @@ def rng() -> random.Random:
 
 @pytest.fixture
 def dfa_checks(monkeypatch) -> list[Dfa]:
-    """Every DFA that `Dfa.__post_init__` checks during the test, from a
-    cold witness cache: the library checks none that it builds itself."""
+    """Every DFA that `Dfa._check` checks during the test, from a cold
+    witness cache: the library checks none that it builds itself."""
     checked: list[Dfa] = []
-    check = Dfa.__post_init__
+    check = Dfa._check
 
     def count(d: Dfa) -> None:
         checked.append(d)
         check(d)
 
-    monkeypatch.setattr(Dfa, "__post_init__", count)
+    monkeypatch.setattr(Dfa, "_check", count)
     WitnessRecipe.build.cache_clear()
     return checked
 

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import pickle
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -387,12 +386,50 @@ def test_a_minimized_dfa_equals_a_freshly_built_one(make):
         assert minimize(back) == m
 
 
+# The text a frozen dataclass printed for `fig_ends_in_b()`, byte for byte.
+ENDS_IN_B_REPR = (
+    "Dfa(state_count=2, alphabet=('a', 'b'), delta=((0, 0), (1, 1)),"
+    " initial=0, finals=frozenset({1}))"
+)
+
+
+def test_a_dfa_equals_hashes_and_prints_as_its_five_fields():
+    d = fig_ends_in_b()
+    fields = (2, ("a", "b"), ((0, 0), (1, 1)), 0, frozenset({1}))
+    same = Dfa(*fields)
+    assert d == same and hash(d) == hash(same) == hash(fields)
+    assert d != fields and fields != d  # a Dfa equals only a Dfa
+    assert d != Dfa(2, ("a", "b"), ((0, 0), (1, 1)), 0, frozenset({0}))
+    assert repr(d) == ENDS_IN_B_REPR
+
+
+@pytest.mark.parametrize("name", ["state_count", "finals", automata._MINIMAL, "other"])
+def test_a_dfa_refuses_to_assign_or_delete_an_attribute(name):
+    d = fig_ends_in_b()
+    before = dict(d.__dict__)
+    with pytest.raises(AttributeError):
+        setattr(d, name, 1)
+    with pytest.raises(AttributeError):
+        delattr(d, name)
+    assert d.__dict__ == before
+
+
+def test_a_dfa_keeps_its_memo_through_a_pickle_round_trip():
+    d = duplicate_final_sinks()
+    m = minimize(d)
+    back = pickle.loads(pickle.dumps(d))
+    assert back == d and hash(back) == hash(d) and repr(back) == repr(d)
+    memo = back.__dict__[automata._MINIMAL]
+    assert memo == m and memo.__dict__[automata._MINIMAL] is True
+    assert minimize(back) is memo
+
+
 def test_the_memo_belongs_to_the_object_and_not_to_its_replacements():
     """Per-state answers after `minimize(d)` match Moore's, first and second call.
 
     A cache keyed by `id()` would answer for a freed object whose address
-    a later DFA reuses, and one carried over by `dataclasses.replace`
-    would answer for `d` when asked about another initial state.
+    a later DFA reuses, and one carried over to a DFA built from the same
+    fields would answer for `d` when asked about another initial state.
     """
     rng = random.Random(20261019)
     for _ in range(1000):
@@ -400,7 +437,7 @@ def test_the_memo_belongs_to_the_object_and_not_to_its_replacements():
         first = render_dfa(minimize(d))
         assert first == render_dfa(moore_minimize(d))
         for q in range(d.state_count):
-            other = replace(d, initial=q)
+            other = Dfa(d.state_count, d.alphabet, d.delta, q, d.finals)
             expected = render_dfa(moore_minimize(other))
             assert render_dfa(minimize(other)) == expected
             assert render_dfa(minimize(other)) == expected
@@ -793,7 +830,8 @@ def test_per_state_quotients_of_a_minimal_dfa_are_those_of_the_rerooted_dfa(rng)
     for _ in range(500):
         m = minimize(random_dfa(rng))
         for q in range(m.state_count):
-            assert quotient_complexity_of_state(m, q) == quotient_complexity(replace(m, initial=q))
+            rooted = Dfa(m.state_count, m.alphabet, m.delta, q, m.finals)
+            assert quotient_complexity_of_state(m, q) == quotient_complexity(rooted)
 
 
 def test_per_state_quotients_are_not_the_reachable_state_counts():

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -213,7 +212,8 @@ def test_operations_on_a_pair_share_its_walk_and_nothing_else():
     assert operations._pair_walk.cache_info().misses == 1
     operations._pair_walk.cache_clear()
     assert products == [product(a, b)] * len(TEN_OPS)
-    for lhs, rhs in [(a, b), (c, d), (a, b), (b, a), (a, b), (replace(a), b)]:
+    copy = Dfa(a.state_count, a.alphabet, a.delta, a.initial, a.finals)
+    for lhs, rhs in [(a, b), (c, d), (a, b), (b, a), (a, b), (copy, b)]:
         for op in TEN_OPS:
             shared = boolean(op, lhs, rhs)
             operations._pair_walk.cache_clear()
@@ -369,8 +369,10 @@ def test_complement_equals_the_trimmed_flipped_completion():
             universe = list(d.alphabet) + rng.sample("uvwxyz", rng.randint(0, 2))
             rng.shuffle(universe)
             completed = complete_over(d, universe)
-            flipped = replace(
-                completed, finals=frozenset(range(completed.state_count)) - completed.finals
+            n = completed.state_count
+            flipped = Dfa(
+                n, completed.alphabet, completed.delta, completed.initial,
+                frozenset(range(n)) - completed.finals,
             )
             assert complement(d, universe).dfa == trim_alphabet(flipped)
 
@@ -607,4 +609,4 @@ def test_every_construction_returns_a_valid_dfa(rng):
         for d in results:
             assert Dfa(d.state_count, d.alphabet, d.delta, d.initial, d.finals) == d
             with pytest.raises(ValueError):
-                replace(d, initial=d.state_count)  # replace still checks
+                Dfa(d.state_count, d.alphabet, d.delta, d.state_count, d.finals)

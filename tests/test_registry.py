@@ -1,8 +1,8 @@
 from __future__ import annotations
 
 import concurrent.futures
-import dataclasses
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -128,7 +128,7 @@ def test_every_formula_text_evaluates_to_its_hand_value():
 def test_expected_rejects_text_outside_the_grammar(text):
     atoms_entry = registry_by_id()["REG-ATOMS"]
     assert atoms_entry.formula_text == "per-profile closed forms"
-    entry = dataclasses.replace(atoms_entry, formula_text=text)
+    entry = atoms_entry._replace(formula_text=text)
     with pytest.raises(ValueError):
         entry.expected(5, 7)
 
@@ -294,12 +294,62 @@ def test_a_serial_sweep_never_imports_the_process_pool():
     assert loaded_in_a_fresh_process(script, ["concurrent.futures"]) == []
 
 
+# Modules no process needs before it parses a formula: the records are
+# plain classes and namedtuples, and annotations are never evaluated.
+DEFERRED = ["dataclasses", "inspect", "ast", "typing", "tokenize"]
+
+
 def test_importing_the_package_loads_no_avoidable_stdlib_module():
-    # Import time is paid by every process: the CLI's parser, the pool and
-    # the `string` module (the witnesses spell their letters out) stay out.
+    # Import time is paid by every process: the CLI's parser, the pool,
+    # the `string` module (the witnesses spell their letters out) and the
+    # formula compiler's `ast` and `re` stay out.
     script = "import statecomplexity as s; s.registry_by_id()"
-    modules = ["string", "argparse", "concurrent.futures"]
+    modules = ["string", "argparse", "concurrent.futures", "re", *DEFERRED]
     assert loaded_in_a_fresh_process(script, modules) == []
+
+
+def test_the_cli_loads_no_avoidable_stdlib_module(tmp_path):
+    # `registry list` loads the CLI's parser, and with it `re`, but none of
+    # the modules a bare import leaves out. `-X importtime` names every
+    # module the run imports, on stderr.
+    import statecomplexity
+
+    proc = subprocess.run(
+        [sys.executable, "-S", "-X", "importtime", "-m", "statecomplexity", "registry", "list"],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=str(Path(statecomplexity.__file__).parents[1])),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
+    assert {"argparse", "re", "statecomplexity.cli"} <= imported
+    assert imported.isdisjoint(DEFERRED), imported & set(DEFERRED)
+
+
+def test_the_first_formula_of_a_process_compiles_and_refuses_other_text():
+    # `ast` and `re` load on the first `expected()`, which still evaluates
+    # the grammar's formulas and refuses text outside it.
+    script = (
+        "import sys, statecomplexity as s\n"
+        "entry = s.registry_by_id()['REG-PROD-R']\n"
+        "assert 'ast' not in sys.modules and 're' not in sys.modules\n"
+        "assert entry.expected(3, 4) == 3 * 2**4 - 2**3\n"
+        "try:\n"
+        "    entry._replace(formula_text=\"__import__('os')\").expected(3, 4)\n"
+        "except ValueError:\n"
+        "    pass\n"
+        "else:\n"
+        "    raise SystemExit('text outside the grammar was evaluated')"
+    )
+    assert loaded_in_a_fresh_process(script, ["ast", "re"]) == ["ast", "re"]
+
+
+def test_a_row_survives_a_pickle_round_trip():
+    (row,) = run_sweep(ids=["REG-KAPPA"], n_range=(3, 3))
+    back = pickle.loads(pickle.dumps(row))
+    assert type(back) is VerificationRow and back == row
 
 
 def test_pool_is_capped_at_the_number_of_batches(recording_pool, monkeypatch):

@@ -12,7 +12,6 @@ class: only the registry states what a witness is expected to give.
 from __future__ import annotations
 
 import ast
-import dataclasses
 from pathlib import Path
 from string import ascii_lowercase
 
@@ -63,7 +62,7 @@ def test_derived_dfas_pass_the_public_check(rng):
         renamed = apply_dialect(d, spec)
         assert rebuilt(renamed) == renamed
         q = rng.randrange(d.state_count)
-        expected = quotient_complexity(dataclasses.replace(d, initial=q))
+        expected = quotient_complexity(Dfa(d.state_count, d.alphabet, d.delta, q, d.finals))
         assert quotient_complexity_of_state(d, q) == expected
 
 
@@ -89,7 +88,12 @@ def test_state_of_quotient_complexity_must_be_a_state(q):
 
 
 def _checked_builds(tree: ast.AST) -> list[str]:
-    """The `Dfa(...)` calls and uses of `dataclasses.replace` in `tree`."""
+    """The `Dfa(...)` calls, `dataclasses` imports and record shortcuts in `tree`.
+
+    A record shortcut is a `._replace(...)` or `._make(...)` call: both
+    build a namedtuple record without its `__new__`, and so without the
+    check that `DialectSpec` runs there.
+    """
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Call):
@@ -97,33 +101,34 @@ def _checked_builds(tree: ast.AST) -> list[str]:
             name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
             if name == "Dfa":
                 found.append(f"line {node.lineno}: Dfa(...)")
+            elif name in ("_replace", "_make") and isinstance(f, ast.Attribute):
+                found.append(f"line {node.lineno}: {name}(...)")
+        elif isinstance(node, ast.Import):
+            if any(alias.name == "dataclasses" for alias in node.names):
+                found.append(f"line {node.lineno}: import dataclasses")
         elif isinstance(node, ast.ImportFrom) and node.module == "dataclasses":
-            if any(alias.name == "replace" for alias in node.names):
-                found.append(f"line {node.lineno}: from dataclasses import replace")
-        elif (
-            isinstance(node, ast.Attribute)
-            and node.attr == "replace"
-            and isinstance(node.value, ast.Name)
-            and node.value.id == "dataclasses"
-        ):
-            found.append(f"line {node.lineno}: dataclasses.replace")
+            found.append(f"line {node.lineno}: from dataclasses import ...")
     return found
 
 
 def test_source_check_finds_each_checked_build():
     source = (
-        "from dataclasses import replace\n"
-        "import dataclasses\n"
+        "from dataclasses import dataclass\n"
+        "import os, dataclasses\n"
         "a = Dfa(1, (), (), 0, frozenset())\n"
         "b = automata.Dfa(1, (), (), 0, frozenset())\n"
-        "c = dataclasses.replace(a, initial=0)\n"
-        "d = 'x'.replace('x', 'y')\n"
+        "c = spec._replace(targets=('a',))\n"
+        "d = DialectSpec._make([('a',)])\n"
+        "e = 'x'.replace('x', 'y')\n"
+        "f = _make(1)\n"
     )
     assert _checked_builds(ast.parse(source)) == [
-        "line 1: from dataclasses import replace",
+        "line 1: from dataclasses import ...",
+        "line 2: import dataclasses",
         "line 3: Dfa(...)",
         "line 4: Dfa(...)",
-        "line 5: dataclasses.replace",
+        "line 5: _replace(...)",
+        "line 6: _make(...)",
     ]
 
 
@@ -135,7 +140,9 @@ def test_the_library_builds_no_dfa_through_the_checked_path():
         for path in paths
         for hit in _checked_builds(ast.parse(path.read_text(encoding="utf-8"), str(path)))
     ]
-    assert found == [], "build derived DFAs with automata._unchecked_dfa"
+    assert found == [], (
+        "build derived DFAs with automata._unchecked_dfa and records through their constructors"
+    )
 
 
 # The measurement modules, and the modules only the registry side may use.

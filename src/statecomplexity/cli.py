@@ -17,12 +17,14 @@ Exit codes: 0 on success (and when every verified row matches), 1 when a
 verification row mismatches, 2 on usage errors (a `verify` that selects
 no cell included), unreadable files or file-parse errors, 3 when a
 construction exceeds its state or element budget (CapacityError) or the
-process runs out of memory (MemoryError).
+process runs out of memory (MemoryError), 141 when stdout is a pipe its
+reader has closed (128 + SIGPIPE, as a shell reports such a writer).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .atoms import atom_complexities
@@ -46,7 +48,7 @@ _QUANTITIES = {"kappa": "complexity", "semigroup": "semigroup", "atoms": "atom-c
 
 
 def _load_dfa(path: str) -> Dfa:
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8-sig") as handle:
         return parse_dfa(handle.read())
 
 
@@ -200,13 +202,20 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # a closed pipe fails here, not in the exit flush
+        return code
     except MemoryError:
         # Matched first, since matching a tuple of classes allocates the
         # tuple. The fixed line (the error's message is empty) is printed
         # once the handler has dropped the exception, and with it the
         # frames that held the memory.
         pass
+    except BrokenPipeError:
+        # The reader has gone. What stdout still buffers goes to the null
+        # device, so the interpreter's exit flush prints nothing.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except KeyError as exc:  # str() of a KeyError quotes its message
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2

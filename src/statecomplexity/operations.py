@@ -8,16 +8,19 @@ part of the subset, which stands for its empty quotient, so complement
 always means complement with respect to the universe the walk reads.
 Product and the ten boolean operations are one walk of both operands
 side by side (`_walk_pair`), product's linking the left finals to the
-right initial state, read by one truth-table reader (`_read`). The last
-pair's boolean walk is kept with a memo of its reads: each truth table
-is refined once, its complement reuses that refinement with the finals
-flipped, and from the walk's second read on its refinements share one
-preimage index. Star, complement and reversal walk one operand with
-`determinize`; reversal walks preimages. Every result is minimal,
-trimmed to the alphabet of the result language, and reported with its
-quotient complexity. Each walk is minimized after it, except
-reversal's: its operand is minimized first, and the preimage walk of a
-minimal DFA is minimal by Brzozowski's theorem, so it is not refined.
+right initial state. The walk sorts its subsets once into four colour
+classes, by which operands' finals they hold, and one truth-table
+reader (`_read`) takes the finals as the union of the classes a table
+accepts. The last pair's boolean walk is kept with a memo of its reads:
+each truth table is refined once, its complement reuses that
+refinement with the finals flipped, and from the walk's second
+refinement on its refinements share one set of preimage lists. Star,
+complement and reversal walk one operand with `determinize`; reversal
+walks preimages. Every result is minimal, trimmed to the alphabet of
+the result language, and reported with its quotient complexity. Each
+walk is minimized after it, except reversal's: its operand is minimized
+first, and the preimage walk of a minimal DFA is minimal by
+Brzozowski's theorem, so it is not refined.
 
 Two languages are equal iff `trim_alphabet` gives the same DFA for both
 over the same letter order (minimize is canonical).
@@ -77,12 +80,10 @@ class OpResult(namedtuple("OpResult", "dfa kappa")):
     __slots__ = ()
 
 
-# A pair walk: its alphabet, subsets and rows, the masks of the left and
-# right final states, and the memo its reads share (see `_read`), which
-# lives and dies with the walk.
-_PairWalk = tuple[tuple[str, ...], list[int], tuple[tuple[int, ...], ...], int, int, dict]
-# The memo key of a walk's refinement index; every other key is a truth table.
-_INDEX = "index"
+# A pair walk: its alphabet, its rows, the colour classes of its subsets
+# (see `_walk_pair`) and the memo its reads share (see `_read`), keyed by
+# truth table and by `_PREIMAGES`, which lives and dies with the walk.
+_PairWalk = tuple[tuple[str, ...], tuple[tuple[int, ...], ...], list[list[int]], dict]
 
 
 def _finish(d: Dfa) -> OpResult:
@@ -112,8 +113,10 @@ def _walk_pair(lhs: Dfa, rhs: Dfa, link: bool) -> _PairWalk:
     Unlinked, it is the direct product of the operands completed by their
     empty quotients. Linked (product), entering a left final state, the
     start included, is what enters the right initial state.
-    Returns the alphabet, the subsets, the rows, the masks of the left
-    and right final states, and an empty memo for the walk's reads.
+    Returns the alphabet, the rows, the colour classes and an empty memo
+    for the walk's reads. The colour classes TT, TF, FT and FF list the
+    subsets by whether they hold a left final state and a right final
+    state, each subset once, in walk order.
     """
     lhs = minimize(lhs)
     rhs = minimize(rhs)
@@ -124,8 +127,12 @@ def _walk_pair(lhs: Dfa, rhs: Dfa, link: bool) -> _PairWalk:
     masks = [left + right for left, right in zip(left_moves, _moves(rhs, combined, offset))]
     start = 1 << lhs.initial | (enter_rhs if not link or lhs.initial in lhs.finals else 0)
     keys, rows = subset_walk((start,), masks)
+    left_finals = bits(lhs.finals)
     right_finals = bits(offset + f for f in rhs.finals)
-    return combined, keys, tuple(map(tuple, rows)), bits(lhs.finals), right_finals, {}
+    colours: list[list[int]] = [[], [], [], []]
+    for i, s in enumerate(keys):
+        colours[(not s & left_finals) << 1 | (not s & right_finals)].append(i)
+    return combined, tuple(map(tuple, rows)), colours, {}
 
 
 # Only the last pair's unlinked walk is kept, and its memo with it: a sweep
@@ -140,18 +147,18 @@ def _read(walk: _PairWalk, table: tuple[bool, bool, bool, bool]) -> OpResult:
     """The walk as a DFA whose finals are the subsets `table` accepts.
 
     `table` is a truth table (TT, TF, FT, FF): whether a subset is final
-    given whether it holds a left final state and a right final state.
-    The walk's memo keeps each table's DFA and result, so a table read
-    again returns the same result. Complementary tables have
-    the same Nerode partition, and `minimize` numbers classes by the
-    partition, the initial state and delta alone, so the complement of a
-    table read before is its minimal DFA with the finals flipped, not
-    refined again. A walk's first read refines as any walk does; a later
-    refinement reads the walk's index, built once: its preimage lists,
-    and the four colour classes of its subsets (which operands' finals a
-    subset holds), whose union is the finals.
+    given whether it holds a left final state and a right final state,
+    so the finals are the union of the colour classes it accepts. The
+    walk's memo keeps each table's DFA and result, so a table read again
+    returns the same result. Complementary tables have the same Nerode
+    partition, and `minimize` numbers classes by the partition, the
+    initial state and delta alone, so the complement of a table read
+    before is its minimal DFA with the finals flipped, not refined
+    again. Every other read refines the walk; from its second refinement
+    on, the refinements read the walk's preimage lists, built once and
+    kept in the memo, so a walk read once keeps none.
     """
-    combined, keys, rows, left_finals, right_finals, memo = walk
+    combined, rows, colours, memo = walk
     known = memo.get(table)
     if known is None:
         twin = memo.get(tuple(not accepted for accepted in table))
@@ -160,23 +167,13 @@ def _read(walk: _PairWalk, table: tuple[bool, bool, bool, bool]) -> OpResult:
             flipped = frozenset(range(m.state_count)) - m.finals
             d = _unchecked_dfa(m.state_count, m.alphabet, m.delta, m.initial, flipped)
             d.__dict__[_MINIMAL] = True
-        elif not memo:  # the walk's first read
-            finals = frozenset(
-                i
-                for i, s in enumerate(keys)
-                if table[(not s & left_finals) << 1 | (not s & right_finals)]
-            )
-            d = _walk_dfa(len(keys), combined, rows, finals)
         else:
-            if _INDEX not in memo:
-                states = list(range(len(keys)))  # one int per state, shared by the index
-                colours: list[list[int]] = [[], [], [], []]
-                for i, s in zip(states, keys):
-                    colours[(not s & left_finals) << 1 | (not s & right_finals)].append(i)
-                memo[_INDEX] = _preimage_lists(rows, states), colours
-            preimages, colours = memo[_INDEX]
-            d = _walk_dfa(len(keys), combined, rows, frozenset().union(*compress(colours, table)))
-            d.__dict__[_PREIMAGES] = preimages
+            count = sum(map(len, colours))
+            d = _walk_dfa(count, combined, rows, frozenset().union(*compress(colours, table)))
+            if memo:  # not the walk's first refinement
+                if _PREIMAGES not in memo:
+                    memo[_PREIMAGES] = _preimage_lists(rows, range(count))
+                d.__dict__[_PREIMAGES] = memo[_PREIMAGES]
         known = memo[table] = d, _finish(d)
     return known[1]
 

@@ -663,3 +663,59 @@ def test_module_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("states 3")
+
+
+@pytest.mark.skipif(os.name != "posix", reason="a closed pipe raises EPIPE on POSIX")
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv", [("registry", "list"), ("verify", "--ids", "REG-KAPPA")], ids=" ".join
+)
+def test_a_closed_stdout_pipe_exits_141_with_nothing_on_stderr(argv, buffered):
+    # The reader of stdout has gone before the run starts, so the first
+    # write fails (unbuffered) or the flush after the command (buffered).
+    # Either way the run ends as a writer killed by SIGPIPE is reported,
+    # 128 + 13, and the interpreter's exit flush prints nothing.
+    import statecomplexity
+
+    env = dict(os.environ, PYTHONPATH=str(Path(statecomplexity.__file__).parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "statecomplexity", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, "")
+
+
+def test_a_byte_order_mark_before_a_dfa_file_is_ignored(tmp_path, capsys):
+    # An operand saved with a UTF-8 byte-order mark reads as the plain file.
+    def with_bom(name):
+        path = tmp_path / name
+        path.write_bytes(b"\xef\xbb\xbf" + (GOLDEN / name).read_bytes())
+        return str(path)
+
+    plain = [str(GOLDEN / name) for name in ("regular-lhs.dfa", "regular-rhs.dfa")]
+    marked = [with_bom(name) for name in ("regular-lhs.dfa", "regular-rhs.dfa")]
+    outputs = []
+    for lhs, rhs in (plain, marked):
+        emitted = tmp_path / "product.dfa"
+        runs = [
+            run_cli(capsys, "measure", "kappa", lhs),
+            run_cli(capsys, "measure", "quotients", rhs),
+            run_cli(capsys, "op", "product", lhs, rhs, "--emit", str(emitted)),
+            run_cli(capsys, "op", "star", rhs),
+        ]
+        outputs.append((runs, emitted.read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert all(code == 0 for code, _, _ in outputs[0][0])
+    assert outputs[0][1] == (GOLDEN / "regular-product.dfa").read_bytes()

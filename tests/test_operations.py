@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from itertools import compress
 
 import pytest
 from hypothesis import given
@@ -162,19 +163,21 @@ def test_boolean_truth_tables_against_membership(rng):
 def test_boolean_acceptance_reads_the_truth_table(monkeypatch, op):
     """The walk's final subsets are those the truth table accepts, every subset checked.
 
-    `boolean` reads its finals off the keys of `_pair_walk`, and `product`
-    off those of the linked `_walk_pair`, where a subset is final iff it
-    holds a right final state. A stand-in walk keeps the real final masks
-    and lists every subset of the m+n operand states as a chain on one
-    letter, so a^s is in the result iff subset s is final.
+    `boolean` reads its finals off the colour classes of `_pair_walk`, and
+    `product` off those of the linked `_walk_pair`, where a subset is final
+    iff it holds a right final state. A stand-in walk lists every subset
+    of the m+n operand states as a chain on one letter, coloured by the
+    operands' final masks, so a^s is in the result iff subset s is final.
     """
     lhs, rhs = minimize(fig_ends_in_b()), minimize(fig_ends_in_c())
-    *_, left, right, _ = operations._walk_pair(lhs, rhs, link=op == "product")
-    assert left == bits(lhs.finals)
-    assert right == bits(lhs.state_count + f for f in rhs.finals)
+    left = bits(lhs.finals)
+    right = bits(lhs.state_count + f for f in rhs.finals)
     size = 1 << (lhs.state_count + rhs.state_count)
     chain = (tuple(min(s + 1, size - 1) for s in range(size)),)
-    walk = (("a",), list(range(size)), chain, left, right, {})
+    colours = [[], [], [], []]
+    for s in range(size):
+        colours[(not s & left) << 1 | (not s & right)].append(s)
+    walk = (("a",), chain, colours, {})
     if op == "product":
 
         def linked_walk(lhs, rhs, link):
@@ -197,8 +200,8 @@ def test_operations_on_a_pair_share_its_walk_and_nothing_else():
     # called between them neither walks it nor evicts it. The kept walk's
     # memo is all the operations share: an operation called again returns
     # its first result, the complement of an operation read before flips
-    # that operation's minimal DFA, and later refinements share one
-    # preimage index. Each result, whether its walk and memo were kept
+    # that operation's minimal DFA, and later refinements share one set of
+    # preimage lists. Each result, whether its walk and memo were kept
     # from the call before or not, equals the one computed from an empty
     # cache, also when the pairs interleave and when an operand is rebuilt
     # equal to, but not the same object as, the last.
@@ -284,7 +287,7 @@ def test_a_complement_read_after_its_base_equals_it_from_an_empty_cache(
     lhs, rhs, before, pair, swap
 ):
     # The walk is read by up to three operations first, so the base may be
-    # refined over the walk's shared preimage index; its complement then
+    # refined over the walk's shared preimage lists; its complement then
     # flips the base's minimal DFA. Every result equals the one computed
     # from an empty cache, the DFA included, and is marked minimal.
     base, other = pair[::-1] if swap else pair
@@ -296,20 +299,50 @@ def test_a_complement_read_after_its_base_equals_it_from_an_empty_cache(
         assert minimize(result.dfa) is result.dfa
 
 
+@given(dfas(), dfas(), st.booleans())
+def test_a_walk_colours_each_subset_by_the_operands_its_access_word_is_in(lhs, rhs, link):
+    # Each state's colour class says whether the walk's left part holds a
+    # left final state and its right part a right final state. For the
+    # state's breadth-first access word w, that is w in L(lhs) and w in
+    # L(rhs) unlinked, and w in L(lhs) and w in L(lhs)L(rhs) linked
+    # (product); a letter an operand lacks keeps w out of its language.
+    combined, rows, colours, memo = operations._walk_pair(lhs, rhs, link)
+    assert memo == {}
+    count = sum(map(len, colours))
+    assert sorted(i for colour in colours for i in colour) == list(range(count))
+    access = [""] + [None] * (count - 1)
+    queue = [0]
+    for q in queue:  # queue grows while it is read
+        for letter, row in zip(combined, rows):
+            if access[row[q]] is None:
+                access[row[q]] = access[q] + letter
+                queue.append(row[q])
+    assert sorted(queue) == list(range(count))
+
+    def in_rhs(w):
+        if not link:
+            return word_in(rhs, w)
+        return any(word_in(lhs, w[:i]) and word_in(rhs, w[i:]) for i in range(len(w) + 1))
+
+    for colour, states in enumerate(colours):
+        for q in states:
+            w = access[q]
+            assert (word_in(lhs, w), in_rhs(w)) == (colour < 2, colour % 2 == 0), (q, w)
+
+
 @given(dfas(), dfas(), st.sampled_from(TEN_OPS))
 def test_shared_preimage_lists_give_the_same_partition(lhs, rhs, op):
     # The walk's preimage lists are built once, in state order, not in the
     # finality order `nerode_classes` builds its own in, and read by every
     # refinement of the walk; the partition and the minimal DFA are the
     # same, and the refinement takes the lists off the DFA.
-    combined, keys, rows, left, right, _ = operations._walk_pair(lhs, rhs, link=False)
-    finals = frozenset(
-        i for i, s in enumerate(keys) if op.value[(not s & left) << 1 | (not s & right)]
-    )
-    lists = automata._preimage_lists(rows, range(len(keys)))
+    combined, rows, colours, _ = operations._walk_pair(lhs, rhs, link=False)
+    finals = frozenset().union(*compress(colours, op.value))
+    count = sum(map(len, colours))
+    lists = automata._preimage_lists(rows, range(count))
 
     def walk_dfa(preimages):
-        d = automata._walk_dfa(len(keys), combined, rows, finals)
+        d = automata._walk_dfa(count, combined, rows, finals)
         if preimages is not None:
             d.__dict__[automata._PREIMAGES] = preimages
         return d

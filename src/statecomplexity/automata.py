@@ -10,7 +10,8 @@ Everything the library derives from checked parts is built unchecked, by
 `_unchecked_dfa`. `minimize` caches its result on the instance, in a
 private `__dict__` slot outside the five fields, so equality, hashing
 and `repr` never see it; walks whose reads share one refinement
-index hand it to `nerode_classes` the same way.
+index hand it to `nerode_classes` the same way, and `_inclusions`
+keeps a DFA's quotient-inclusion preorder in a slot of its own.
 """
 
 from __future__ import annotations
@@ -28,10 +29,12 @@ MAX_SUBSET_BITS = 1 << 32
 # or True when that is the Dfa itself; `_WALK` marks a `_walk_dfa`
 # result, which is accessible and numbered as `minimize` numbers;
 # `_PREIMAGES` holds `_preimage_lists` of its delta, built once for
-# every DFA that shares that delta, until `nerode_classes` reads it.
+# every DFA that shares that delta, until `nerode_classes` reads it;
+# `_INCLUSIONS` holds `_inclusions` of the Dfa, built once.
 _MINIMAL = "_minimal"
 _WALK = "_walk"
 _PREIMAGES = "_preimages"
+_INCLUSIONS = "_inclusions"
 
 
 class CapacityError(RuntimeError):
@@ -349,6 +352,54 @@ def _preimage_lists(delta: Sequence[Sequence[int]], states: Sequence[int]) -> li
                 pre[q] = [p]
         preimages.append(pre)
     return preimages
+
+
+def _inclusions(d: Dfa) -> list[int] | None:
+    """Entry q is the bitmask of the states whose quotient lies inside q's.
+
+    The greatest relation that keeps a final state below final states
+    only and that every letter maps into itself: for a complete DFA,
+    exactly the inclusion of the states' languages. It starts from every
+    state below every final state and every non-final state below every
+    non-final one; a worklist then drops, per letter, each pair whose
+    images were dropped. Each state's drops wait in one mask until it
+    is popped, and each dropped pair is read once per letter: O(k·n²)
+    for k letters and n states. The preorder is kept in the
+    `_INCLUSIONS` slot of `d`; it is built only when n² pairs fit in
+    `MAX_SUBSET_STATES`, the bound every walk obeys, and None otherwise.
+    """
+    n = d.state_count
+    if n * n > MAX_SUBSET_STATES:
+        return None
+    below = d.__dict__.get(_INCLUSIONS)
+    if below is not None:
+        return below
+    finals = bits(d.finals)
+    dropped = [0 if q in d.finals else finals for q in range(n)]  # not yet propagated
+    below = [(1 << n) - 1 ^ lost for lost in dropped]
+    pending = [q for q in range(n) if dropped[q]]
+    rows = list(zip(preimage_masks(d.delta), _preimage_lists(d.delta, range(n))))
+    while pending:
+        q = pending.pop()
+        lost, dropped[q] = dropped[q], 0
+        for masks, lists in rows:
+            if not lists[q]:
+                continue
+            sources = 0  # the states this letter moves into `lost`
+            rest = lost
+            while rest:
+                low = rest & -rest
+                sources |= masks[low.bit_length() - 1]
+                rest ^= low
+            for r in lists[q]:  # r moves to q, so nothing in `sources` stays below r
+                gone = below[r] & sources
+                if gone:
+                    below[r] ^= gone
+                    if not dropped[r]:
+                        pending.append(r)
+                    dropped[r] |= gone
+    d.__dict__[_INCLUSIONS] = below
+    return below
 
 
 def nerode_classes(d: Dfa) -> list[int]:

@@ -22,7 +22,7 @@ from types import CodeType, MappingProxyType
 from .algebra import syntactic_semigroup_size
 from .atoms import _profile, atom_complexities, atoms
 from .automata import Dfa, quotient_complexity, trim_alphabet
-from .operations import BooleanOp, boolean, product, reverse, star
+from .operations import BooleanOp, _pair_walk, boolean, product, reverse, star
 from .witnesses import WitnessClass, apply_dialect, parse_dialect
 
 BOOLEAN_BY_NAME = {
@@ -440,7 +440,8 @@ def run_sweep(
     """Evaluate the selected entries over the grid; rows sorted by (id, m, n).
 
     Row content is deterministic and independent of the job count. The
-    binary cells of one operand pair run back to back. The sweep uses
+    binary cells of one operand pair run back to back, and the pair walk
+    they share is released when the sweep returns. The sweep uses
     `min(jobs, cells, os.cpu_count())` workers: one runs the cells
     serially in this process, and more get the cells in contiguous
     batches, `_BATCHES_PER_WORKER` per worker. Range cells below an
@@ -484,13 +485,16 @@ def run_sweep(
         groups.setdefault(key, []).append(task)
     tasks = [task for group in groups.values() for task in group]
     workers = min(jobs, len(tasks), os.cpu_count() or 1)
-    if workers > 1:
-        import concurrent.futures  # only here: a serial sweep never loads the pool
-        batch = -(-len(tasks) // (_BATCHES_PER_WORKER * workers))
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_evaluate_by_id, tasks, chunksize=batch))
-    else:
-        rows = [_evaluate_by_id(task) for task in tasks]
+    try:
+        if workers > 1:
+            import concurrent.futures  # only here: a serial sweep never loads the pool
+            batch = -(-len(tasks) // (_BATCHES_PER_WORKER * workers))
+            with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+                rows = list(pool.map(_evaluate_by_id, tasks, chunksize=batch))
+        else:
+            rows = [_evaluate_by_id(task) for task in tasks]
+    finally:
+        _pair_walk.cache_clear()  # the kept walk serves the sweep's cells, not its caller
     rows.sort(key=lambda r: (r.entry_id, r.m if r.m is not None else -1, r.n))
     return rows
 

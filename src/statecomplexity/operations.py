@@ -6,6 +6,10 @@ int bitmasks whose masks come from `_moves`: each operand's states sit
 at their own bits, and a letter an operand lacks empties that operand's
 part of the subset, which stands for its empty quotient, so complement
 always means complement with respect to the universe the walk reads.
+Where a subset may hold several states of one operand (product's right
+operand, star's operand) a move sets the bits of every state whose
+quotient lies inside the target's, so no two walked subsets differ only
+by states that add nothing to their language.
 Product and the ten boolean operations are one walk of both operands
 side by side (`_walk_pair`), product's linking the left finals to the
 right initial state. The walk sorts its subsets once into four colour
@@ -37,6 +41,7 @@ from .automata import (
     _MINIMAL,
     _PREIMAGES,
     Dfa,
+    _inclusions,
     _preimage_lists,
     _trim_minimal,
     _unchecked_dfa,
@@ -91,14 +96,37 @@ def _finish(d: Dfa) -> OpResult:
     return OpResult(dfa=trimmed, kappa=trimmed.state_count)
 
 
-def _moves(d: Dfa, alphabet: tuple[str, ...], offset: int = 0, link: int = 0) -> list[list[int]]:
+def _targets(d: Dfa, offset: int = 0, closed: bool = False) -> list[int]:
+    """Entry q is the mask a move into state q of `d` sets.
+
+    State q sits at bit offset + q. Closed, a move into q sets the bits
+    of every state whose quotient lies inside q's (`_inclusions`), when
+    `d` is small enough to have that preorder, and q's bit alone
+    otherwise. Such a closure has q's language, and it is final iff q
+    is; a state below another moves below that one's image on every
+    letter, so a walk whose start and targets are closed walks closed
+    subsets only, each standing for the plain subsets it closes. Only
+    an operand whose part of a subset may hold several states is
+    closed: a lone state would only widen the keys.
+    """
+    below = _inclusions(d) if closed else None
+    if below is None:
+        return [1 << offset + q for q in range(d.state_count)]
+    return [mask << offset for mask in below]
+
+
+def _moves(
+    d: Dfa, alphabet: tuple[str, ...], targets: list[int], link: int = 0
+) -> list[list[int]]:
     """Per letter of `alphabet`, the bitmask each state of `d` moves to.
 
-    State q sits at bit offset + q. On a letter `d` lacks every state
-    moves to the empty mask, so the operand's part of the subset empties;
-    a move into a final state also sets the bits of `link`.
+    A move into state q sets `targets[q]` (see `_targets`), and a move
+    into a final state also the bits of `link`. On a letter `d` lacks
+    every state moves to the empty mask, so the operand's part of the
+    subset empties.
     """
-    targets = [1 << (offset + q) | (link if q in d.finals else 0) for q in range(d.state_count)]
+    if link:
+        targets = [t | link if q in d.finals else t for q, t in enumerate(targets)]
     rows = dict(zip(d.alphabet, d.delta))
     return [
         [targets[q] for q in rows[letter]] if letter in rows else [0] * d.state_count
@@ -112,7 +140,9 @@ def _walk_pair(lhs: Dfa, rhs: Dfa, link: bool) -> _PairWalk:
     The left states sit at bits 0..m-1 and the right states at m..m+n-1.
     Unlinked, it is the direct product of the operands completed by their
     empty quotients. Linked (product), entering a left final state, the
-    start included, is what enters the right initial state.
+    start included, is what enters the right initial state; the right
+    part of its subsets, which may hold many states, is closed under
+    quotient inclusion (see `_targets`).
     Returns the alphabet, the rows, the colour classes and an empty memo
     for the walk's reads. The colour classes TT, TF, FT and FF list the
     subsets by whether they hold a left final state and a right final
@@ -122,9 +152,11 @@ def _walk_pair(lhs: Dfa, rhs: Dfa, link: bool) -> _PairWalk:
     rhs = minimize(rhs)
     combined = union_alphabets(lhs.alphabet, rhs.alphabet)
     offset = lhs.state_count
-    enter_rhs = 1 << (offset + rhs.initial)
-    left_moves = _moves(lhs, combined, link=enter_rhs if link else 0)
-    masks = [left + right for left, right in zip(left_moves, _moves(rhs, combined, offset))]
+    rhs_targets = _targets(rhs, offset, closed=link)
+    enter_rhs = rhs_targets[rhs.initial]
+    left_moves = _moves(lhs, combined, _targets(lhs), enter_rhs if link else 0)
+    right_moves = _moves(rhs, combined, rhs_targets)
+    masks = [left + right for left, right in zip(left_moves, right_moves)]
     start = 1 << lhs.initial | (enter_rhs if not link or lhs.initial in lhs.finals else 0)
     keys, rows = subset_walk((start,), masks)
     left_finals = bits(lhs.finals)
@@ -136,7 +168,7 @@ def _walk_pair(lhs: Dfa, rhs: Dfa, link: bool) -> _PairWalk:
 
 
 # Only the last pair's unlinked walk is kept, and its memo with it: a sweep
-# runs each pair's cells back to back.
+# runs each pair's cells back to back, and releases the walk when it returns.
 @functools.lru_cache(maxsize=1)
 def _pair_walk(lhs: Dfa, rhs: Dfa) -> _PairWalk:
     """The unlinked walk of (lhs, rhs), which every boolean operation reads."""
@@ -206,7 +238,7 @@ def complement(d: Dfa, universe: tuple[str, ...] | str) -> OpResult:
         raise ValueError(f"target alphabet {universe!r} is missing letters of {d.alphabet!r}")
     finals = bits(d.finals)
     subsets = determinize(
-        universe, 1 << d.initial, _moves(d, universe), lambda s: not s & finals
+        universe, 1 << d.initial, _moves(d, universe, _targets(d)), lambda s: not s & finals
     )
     return _finish(subsets)
 
@@ -218,11 +250,14 @@ def star(d: Dfa) -> OpResult:
     state and has no moves of its own; entering an old final state also
     re-enters the old initial state. If the language already contains the
     empty word the fresh state simply merges away during minimization.
+    Every move and the restart are closed under quotient inclusion (see
+    `_targets`), so an ideal's star walks n + 1 subsets, not 2n - 1.
     """
     d = minimize(d)
     fresh = d.state_count
-    restart = 1 << d.initial
-    masks = [row + [0] for row in _moves(d, d.alphabet, link=restart)]
+    targets = _targets(d, closed=True)
+    restart = targets[d.initial]
+    masks = [row + [0] for row in _moves(d, d.alphabet, targets, restart)]
     accepting = bits(d.finals) | 1 << fresh
     subsets = determinize(d.alphabet, 1 << fresh | restart, masks, lambda s: s & accepting)
     return _finish(subsets)

@@ -7,6 +7,7 @@ import pytest
 
 from statecomplexity import (
     Dfa,
+    WitnessClass,
     accepts,
     apply_dialect,
     automata,
@@ -581,6 +582,77 @@ def test_nerode_classes_match_moore_on_large_walks(monkeypatch, entry_id, m, n):
     (d,) = walked
     check_classes(d)
     assert minimize(d) == moore_minimize(d)
+
+
+# --- inclusion preorder -------------------------------------------------------
+
+
+def inclusion_oracle(d: Dfa) -> list[int]:
+    """Entry q: the states p such that no pair reachable from (p, q) in d × d
+    is (final, non-final), searched pair by pair."""
+    below = [0] * d.state_count
+    for p in range(d.state_count):
+        for q in range(d.state_count):
+            seen = {(p, q)}
+            queue = [(p, q)]
+            for x, y in queue:  # queue grows while it is read
+                if x in d.finals and y not in d.finals:
+                    break
+                for row in d.delta:
+                    pair = (row[x], row[y])
+                    if pair not in seen:
+                        seen.add(pair)
+                        queue.append(pair)
+            else:
+                below[q] |= 1 << p
+    return below
+
+
+def test_inclusions_match_the_pair_search_on_1000_random_dfas():
+    # The relation is quotient inclusion for any complete DFA, so the
+    # drawn DFA is checked as well as its minimal one.
+    rng = random.Random(20061128)
+    for _ in range(1000):
+        drawn = random_dfa(rng, max_states=8)
+        for d in (drawn, minimize(drawn)):
+            assert automata._inclusions(d) == inclusion_oracle(d), d
+
+
+@pytest.mark.parametrize("witness", list(WitnessClass))
+def test_inclusions_of_the_witnesses_match_the_pair_search(witness):
+    for n in range(witness.min_n, 9):
+        d = witness.build(n)  # minimal, in the witness's own numbering
+        assert automata._inclusions(d) == inclusion_oracle(d), n
+
+
+def test_inclusions_of_the_witnesses_by_hand():
+    # The regular witness's quotients are pairwise incomparable; the
+    # accepting sink n-1 of a right or two-sided ideal holds every
+    # quotient; a left ideal's initial quotient lies in every quotient.
+    for n in range(WitnessClass.REGULAR.min_n, 13):
+        below = automata._inclusions(WitnessClass.REGULAR.build(n))
+        assert below == [1 << q for q in range(n)], n
+    for witness in (WitnessClass.RIGHT_IDEAL, WitnessClass.TWO_SIDED_IDEAL):
+        for n in range(witness.min_n, 13):
+            below = automata._inclusions(witness.build(n))
+            assert below[n - 1] == (1 << n) - 1, (witness, n)
+    for n in range(WitnessClass.LEFT_IDEAL.min_n, 13):
+        below = automata._inclusions(WitnessClass.LEFT_IDEAL.build(n))
+        assert all(mask & 1 for mask in below), n
+
+
+def test_inclusions_are_kept_and_built_only_within_the_subset_bound(monkeypatch):
+    d = WitnessClass.RIGHT_IDEAL.build(6)
+    monkeypatch.setattr(automata, "MAX_SUBSET_STATES", 35)
+    assert automata._inclusions(d) is None
+    assert automata._INCLUSIONS not in d.__dict__
+    monkeypatch.setattr(automata, "MAX_SUBSET_STATES", 36)
+    below = automata._inclusions(d)
+    assert below == inclusion_oracle(d)
+    assert automata._inclusions(d) is below is d.__dict__[automata._INCLUSIONS]
+    assert d == WitnessClass.RIGHT_IDEAL.build(6)  # the slot is outside the fields
+    monkeypatch.setattr(automata, "MAX_SUBSET_STATES", 35)
+    assert automata._inclusions(d) is None
 
 
 # --- isomorphism ------------------------------------------------------------

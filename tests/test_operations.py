@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from statecomplexity import (
     BooleanOp,
+    CapacityError,
     Dfa,
     WitnessClass,
     apply_dialect,
@@ -23,6 +24,7 @@ from statecomplexity import (
     parse_dialect,
     product,
     quotient_complexity,
+    registry_by_id,
     reverse,
     star,
     trim_alphabet,
@@ -67,6 +69,19 @@ def single_a():
     )
 
 
+def in_product(lhs, rhs, w):
+    """w in L(lhs)L(rhs), by trying every split."""
+    return any(word_in(lhs, w[:i]) and word_in(rhs, w[i:]) for i in range(len(w) + 1))
+
+
+def in_star(d, w):
+    """w in L(d)*, by splitting w into pieces of L(d) from the left."""
+    ok = [True] + [False] * len(w)
+    for j in range(1, len(w) + 1):
+        ok[j] = any(ok[i] and word_in(d, w[i:j]) for i in range(j))
+    return ok[len(w)]
+
+
 # --- product ------------------------------------------------------------------
 
 
@@ -92,10 +107,7 @@ def test_product_matches_split_oracle(rng):
         sigma = union_alphabets(lhs.alphabet, rhs.alphabet)
         for _ in range(60):
             w = random_word(rng, sigma, 8)
-            direct = any(
-                word_in(lhs, w[:i]) and word_in(rhs, w[i:]) for i in range(len(w) + 1)
-            )
-            assert word_in(result, w) == direct
+            assert word_in(result, w) == in_product(lhs, rhs, w)
 
 
 def test_product_is_associative_on_languages(rng):
@@ -301,11 +313,17 @@ def test_a_complement_read_after_its_base_equals_it_from_an_empty_cache(
 
 @given(dfas(), dfas(), st.booleans())
 def test_a_walk_colours_each_subset_by_the_operands_its_access_word_is_in(lhs, rhs, link):
-    # Each state's colour class says whether the walk's left part holds a
-    # left final state and its right part a right final state. For the
-    # state's breadth-first access word w, that is w in L(lhs) and w in
-    # L(rhs) unlinked, and w in L(lhs) and w in L(lhs)L(rhs) linked
-    # (product); a letter an operand lacks keeps w out of its language.
+    check_colours(lhs, rhs, link)
+
+
+def check_colours(lhs, rhs, link):
+    """Each state's colour class says whether the walk's left part holds a
+    left final state and its right part a right final state.
+
+    For the state's breadth-first access word w, that is w in L(lhs) and
+    w in L(rhs) unlinked, and w in L(lhs) and w in L(lhs)L(rhs) linked
+    (product); a letter an operand lacks keeps w out of its language.
+    """
     combined, rows, colours, memo = operations._walk_pair(lhs, rhs, link)
     assert memo == {}
     count = sum(map(len, colours))
@@ -320,9 +338,7 @@ def test_a_walk_colours_each_subset_by_the_operands_its_access_word_is_in(lhs, r
     assert sorted(queue) == list(range(count))
 
     def in_rhs(w):
-        if not link:
-            return word_in(rhs, w)
-        return any(word_in(lhs, w[:i]) and word_in(rhs, w[i:]) for i in range(len(w) + 1))
+        return in_product(lhs, rhs, w) if link else word_in(rhs, w)
 
     for colour, states in enumerate(colours):
         for q in states:
@@ -477,17 +493,154 @@ def test_star_matches_splitting_oracle(rng):
         starred = star(d).dfa
         for _ in range(40):
             w = random_word(rng, d.alphabet, 8)
-            ok = [False] * (len(w) + 1)
-            ok[0] = True
-            for j in range(1, len(w) + 1):
-                ok[j] = any(ok[i] and word_in(d, w[i:j]) for i in range(j))
-            assert word_in(starred, w) == ok[len(w)]
+            assert word_in(starred, w) == in_star(d, w)
 
 
 def test_star_alphabet_shrinks_at_most():
     for _ in range(20):
         d = trim_alphabet(random_dfa(random.Random(7), max_states=5))
         assert set(star(d).dfa.alphabet) <= set(d.alphabet)
+
+
+# --- closed walks -------------------------------------------------------------------
+
+
+@pytest.fixture
+def walk_sizes(monkeypatch) -> list[int]:
+    """The subset count of every linked pair walk and every `determinize` walk."""
+    sizes = []
+    real_walk, real_determinize = operations._walk_pair, operations.determinize
+
+    def walk(lhs, rhs, link):
+        walked = real_walk(lhs, rhs, link)
+        if link:
+            sizes.append(sum(map(len, walked[2])))
+        return walked
+
+    def walk_subsets(*args):
+        d = real_determinize(*args)
+        sizes.append(d.state_count)
+        return d
+
+    monkeypatch.setattr(operations, "_walk_pair", walk)
+    monkeypatch.setattr(operations, "determinize", walk_subsets)
+    return sizes
+
+
+@pytest.mark.parametrize(
+    "entry_id",
+    "RID-PROD-R RID-PROD-U LID-PROD-U TID-PROD-R TID-PROD-U REG-PROD-R REG-PROD-U".split(),
+)
+def test_an_ideal_product_walks_exactly_its_quotients(entry_id, walk_sizes):
+    # The right operand's part of a linked walk is closed under quotient
+    # inclusion, so no two subsets of these walks share a language: each
+    # walks exactly kappa subsets, where plain bits walked up to twice as
+    # many (52 for kappa = 30 in RID-PROD-U at (5, 5)). The regular
+    # witness has no inclusions, and its walks were kappa already.
+    entry = registry_by_id()[entry_id]
+    for m in range(entry.lhs.witness.min_n, 9):
+        for n in range(entry.rhs.witness.min_n, 9):
+            kappa = product(entry.lhs.build(m), entry.rhs.build(n)).kappa
+            assert walk_sizes == [kappa], (m, n)
+            walk_sizes.clear()
+
+
+@pytest.mark.parametrize("entry_id", ["RID-STAR", "LID-STAR", "TID-STAR", "REG-STAR"])
+def test_an_ideal_star_walks_n_plus_one_subsets(entry_id, walk_sizes):
+    # Closed under quotient inclusion, an ideal's star walks n + 1 subsets,
+    # its kappa, where plain bits walked 2n - 1; the regular witness's
+    # star walks its kappa, as before.
+    entry = registry_by_id()[entry_id]
+    for n in range(entry.lhs.witness.min_n, 9):
+        kappa = star(entry.lhs.build(n)).kappa
+        assert walk_sizes == [kappa] and kappa == entry.expected(None, n), n
+        walk_sizes.clear()
+
+
+def random_right_ideal(rng: random.Random, letters: str, max_states: int = 6) -> Dfa:
+    """A random DFA with one or two final states, made accepting sinks."""
+    d = random_dfa(rng, max_states, letters)
+    finals = frozenset(rng.sample(range(d.state_count), min(d.state_count, rng.randint(1, 2))))
+    delta = tuple(
+        tuple(q if q in finals else image for q, image in enumerate(row)) for row in d.delta
+    )
+    return Dfa(d.state_count, d.alphabet, delta, d.initial, finals)
+
+
+def right_ideal_pairs(rng: random.Random, count: int, max_states: int = 6):
+    """A random left operand, a right ideal every other time, and a right ideal."""
+    for i in range(count):
+        lhs = random_right_ideal(rng, "abc") if i % 2 else random_dfa(rng, 5, "abc")
+        yield lhs, random_right_ideal(rng, "bcd", max_states)
+
+
+def test_closed_walks_of_right_ideals_match_the_membership_oracles():
+    rng = random.Random(20080915)
+    for lhs, rhs in right_ideal_pairs(rng, 120):
+        concatenated, starred = product(lhs, rhs).dfa, star(rhs).dfa
+        sigma = union_alphabets(lhs.alphabet, rhs.alphabet)
+        for _ in range(30):
+            w = random_word(rng, sigma, 8)
+            assert word_in(concatenated, w) == in_product(lhs, rhs, w), (lhs, rhs, w)
+            assert word_in(starred, w) == in_star(rhs, w), (rhs, w)
+        check_colours(lhs, rhs, link=True)
+
+
+def test_every_walked_subset_holds_each_state_below_a_state_it_holds(monkeypatch):
+    # The start, the link or restart target and every move are closed, so
+    # every subset of a linked walk's right part, and of a star walk, is.
+    walked = []
+    real = automata.subset_walk
+
+    def record(starts, masks):
+        keys, rows = real(starts, masks)
+        walked.append(keys)
+        return keys, rows
+
+    monkeypatch.setattr(automata, "subset_walk", record)
+    monkeypatch.setattr(operations, "subset_walk", record)
+
+    def closed(part, below):
+        return all(below[q] & ~part == 0 for q in range(len(below)) if part >> q & 1)
+
+    rng = random.Random(2008)
+    pairs = [(random_dfa(rng, 5, "abc"), random_dfa(rng, 6, "bcd")) for _ in range(100)]
+    for lhs, rhs in [*pairs, *right_ideal_pairs(rng, 100)]:
+        offset = minimize(lhs).state_count
+        below = automata._inclusions(minimize(rhs))
+        product(lhs, rhs)
+        star(rhs)
+        linked, starred = walked
+        assert all(closed(key >> offset, below) for key in linked), (lhs, rhs)
+        assert all(closed(key & ~(1 << len(below)), below) for key in starred), rhs
+        walked.clear()
+
+
+def test_operands_past_the_bound_walk_plain_bits_to_the_same_results(monkeypatch, walk_sizes):
+    # An operand of n states has its preorder only while n² fits in
+    # MAX_SUBSET_STATES. Lowered below n², the same pairs walk plain bits,
+    # never fewer subsets, and give the same results; pairs whose plain
+    # walks do not fit under the lowered bound are left out.
+    rng = random.Random(20061128)
+    checked = smaller = 0
+    for lhs, rhs in right_ideal_pairs(rng, 400, max_states=10):
+        closed = product(lhs, rhs), star(rhs)
+        closed_sizes = walk_sizes[:]
+        walk_sizes.clear()
+        n = minimize(rhs).state_count
+        with monkeypatch.context() as patch:
+            patch.setattr(automata, "MAX_SUBSET_STATES", n * n - 1)
+            try:
+                plain = product(lhs, rhs), star(rhs)
+            except CapacityError:
+                walk_sizes.clear()
+                continue
+        assert plain == closed, (lhs, rhs)
+        assert all(c <= p for c, p in zip(closed_sizes, walk_sizes)), (lhs, rhs)
+        checked += 1
+        smaller += closed_sizes != walk_sizes
+        walk_sizes.clear()
+    assert checked >= 100 and smaller >= 50, (checked, smaller)
 
 
 # --- reverse ------------------------------------------------------------------------

@@ -11,11 +11,13 @@ from pathlib import Path
 import pytest
 
 from statecomplexity import (
+    Dfa,
     VerificationRow,
     WitnessClass,
     WitnessRecipe,
     all_match,
     automata,
+    bounds,
     emit_report,
     operations,
     registry,
@@ -484,19 +486,59 @@ def boolean_cells(rows: list[VerificationRow]) -> int:
     return sum(table[r.entry_id].operation in BOOLEAN_BY_NAME for r in rows)
 
 
+@pytest.fixture
+def pair_walks(monkeypatch) -> list[tuple[Dfa, Dfa]]:
+    """The operands of every unlinked `_walk_pair`, the walk boolean cells read."""
+    walks = []
+    real = operations._walk_pair
+
+    def record(lhs, rhs, link):
+        if not link:
+            walks.append((lhs, rhs))
+        return real(lhs, rhs, link)
+
+    monkeypatch.setattr(operations, "_walk_pair", record)
+    operations._pair_walk.cache_clear()  # a walk kept from outside a sweep
+    return walks
+
+
 @pytest.mark.parametrize(
     "span, walks, cells", [(None, 91, 314), ((3, 7), 259, 900)], ids=["default", "3to7"]
 )
-def test_a_sweep_walks_each_boolean_operand_pair_once(span, walks, cells):
+def test_a_sweep_walks_each_boolean_operand_pair_once(span, walks, cells, pair_walks):
     # The boolean cells that read one pair of witnesses at one (m, n) run
     # back to back and share one walk: one per pair, not one per cell.
-    operations._pair_walk.cache_clear()
     rows = run_sweep(m_range=span, n_range=span)
     assert boolean_cells(rows) == cells
-    assert operations._pair_walk.cache_info().misses == walks
+    assert len(pair_walks) == walks
 
 
-def test_a_warm_sweep_refines_each_complementary_pair_of_boolean_cells_once(monkeypatch):
+def test_a_sweep_releases_the_pair_walk_it_kept(monkeypatch):
+    # The last pair's walk and memo serve the sweep's own cells: none is
+    # left alive when the sweep returns, nor when a cell raises past it.
+    ids = ["REG-BOOL-R-INTER", "REG-BOOL-R-UNION"]
+    rows = run_sweep(ids=ids, m_range=(3, 4), n_range=(3, 4))
+    assert boolean_cells(rows) == 8
+    assert operations._pair_walk.cache_info().currsize == 0
+    real = bounds._evaluate_by_id
+    ran = []
+
+    def interrupted(task):
+        ran.append(task)
+        if len(ran) == 2:
+            raise KeyboardInterrupt
+        return real(task)
+
+    monkeypatch.setattr(bounds, "_evaluate_by_id", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run_sweep(ids=ids, m_range=(3, 4), n_range=(3, 4))
+    assert len(ran) == 2
+    assert operations._pair_walk.cache_info().currsize == 0
+
+
+def test_a_warm_sweep_refines_each_complementary_pair_of_boolean_cells_once(
+    monkeypatch, pair_walks
+):
     # Once the witnesses are minimal, a sweep refines only its results.
     # The boolean cells of a pair refine its walk once per complementary
     # pair of operations, and an operation that two ids read on the same
@@ -512,22 +554,21 @@ def test_a_warm_sweep_refines_each_complementary_pair_of_boolean_cells_once(monk
         return real(d)
 
     monkeypatch.setattr(automata, "nerode_classes", record)
-    operations._pair_walk.cache_clear()
+    pair_walks.clear()
     assert golden_columns(run_sweep()) == golden_within(DEFAULT_RANGES)
     assert len(refined) == 318
-    assert operations._pair_walk.cache_info().misses == 91
+    assert len(pair_walks) == 91
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
-def test_a_shuffled_sweep_gives_the_registry_order_rows_and_walks(seed):
+def test_a_shuffled_sweep_gives_the_registry_order_rows_and_walks(seed, pair_walks):
     # REG-PROD-U reads the pair of the ten REG-BOOL-U rows, so each seed
     # puts its cells at another place inside their groups: a product walk
     # never evicts the kept boolean walk.
     ids = list(registry_by_id())
     random.Random(seed).shuffle(ids)
-    operations._pair_walk.cache_clear()
     rows = run_sweep(ids=ids)
-    assert operations._pair_walk.cache_info().misses == 91
+    assert len(pair_walks) == 91
     assert golden_columns(rows) == golden_within(DEFAULT_RANGES)
 
 
